@@ -19,7 +19,7 @@ from .constraints import (
     parse_pattern,
     suggest_field_params,
 )
-from .gf import make_field, prime_power
+from .gf import _NUMPY_TABLE_MAX, make_field, prime_power
 from .netsim import (
     DesignResult,
     NetworkInstance,
@@ -27,10 +27,7 @@ from .netsim import (
     even_partition,
     weight_statistics,
 )
-from .sumrank import OrderedPartition, min_distance_bruteforce
-
-_ENUM_GUARD = 1 << 22
-_TABLE_FIELD_MAX = 512
+from .sumrank import _BRUTE_FORCE_MAX, OrderedPartition, min_distance_bruteforce
 
 
 def _emit(doc: dict, out_path: str | None):
@@ -44,6 +41,12 @@ def _emit(doc: dict, out_path: str | None):
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _enumerable(tower, k: int) -> bool:
+    """True when a k-dimensional code over `tower` is small enough for the
+    table-driven brute-force distance and decoding."""
+    return tower.order <= _NUMPY_TABLE_MAX and tower.order ** k <= _BRUTE_FORCE_MAX
 
 
 def cmd_check(args) -> int:
@@ -62,6 +65,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if (args.q is None) != (args.m is None):
+        raise ValueError("--q and --m must be given together")
     sc = parse_pattern(_read(args.pattern), args.n)
     if args.parts:
         part = OrderedPartition(tuple(int(x) for x in args.parts.split(",")))
@@ -77,13 +82,15 @@ def cmd_construct(args) -> int:
               file=sys.stderr)
         return 1
     target_dim = cover_dimension(sc)
-    if args.q and args.m:
+    if args.q is not None:
         q, m = args.q, args.m
     else:
         params = suggest_field_params(target_dim, part.ell, part.parts)
         q, m = params.q, params.m
-    p, e = prime_power(q)
-    tower = make_field(p, e, m)
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"--q {q} is not a prime power")
+    tower = make_field(*pe, m)
     cc = construct.subcode_generator(tower, part, sc.k, sc, seed=args.seed)
     mismatches = construct.verify_support(cc.matrix, cc.sc)
     doc = {
@@ -91,7 +98,7 @@ def cmd_construct(args) -> int:
         "parts": list(part.parts), "attempts": cc.attempts, "seed": args.seed,
         "support_ok": not mismatches,
     }
-    if tower.order <= _TABLE_FIELD_MAX and tower.order ** sc.k <= _ENUM_GUARD:
+    if _enumerable(tower, sc.k):
         d = min_distance_bruteforce(tower, [list(r) for r in cc.matrix], part)
         doc["distance"] = d
         doc["distance_optimal"] = d == sc.n - cc.cover_dim + 1
@@ -103,19 +110,11 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _design_row(inst: NetworkInstance, ell: int, seed: int, build: bool) -> DesignResult:
-    swept = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
-                            t=inst.t, rho=inst.rho, ell=ell)
-    return build_distributed_code(swept, seed=seed, build_code=build)
-
-
 def cmd_design(args) -> int:
     inst = NetworkInstance.from_json(_read(args.instance))
     if args.ell:
         inst = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
                                t=inst.t, rho=inst.rho, ell=args.ell)
-    if args.table:
-        return _run_table(inst, args.table, args.seed, args.out)
     res = build_distributed_code(inst, seed=args.seed, build_code=args.build)
     text = res.to_json()
     if args.out:
@@ -125,10 +124,13 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _run_table(inst: NetworkInstance, lmax: int, seed: int, out) -> int:
+def cmd_tables(args) -> int:
+    inst = NetworkInstance.from_json(_read(args.instance))
     rows = []
-    for ell in range(1, lmax + 1):
-        res = _design_row(inst, ell, seed, build=False)
+    for ell in range(1, args.lmax + 1):
+        swept = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
+                                t=inst.t, rho=inst.rho, ell=ell)
+        res = build_distributed_code(swept, seed=args.seed, build_code=False)
         rows.append({
             "ell": ell, "q": res.q, "m": res.m,
             "n": res.n, "cover_dim": res.cover_dim, "distance": res.distance,
@@ -140,18 +142,15 @@ def _run_table(inst: NetworkInstance, lmax: int, seed: int, out) -> int:
         dims = f"[{r['n']},{r['cover_dim']},{r['distance']}]"
         print(f"{r['ell']:>3} {r['q']:>3} {r['m']:>3} {dims:>14}  "
               f"{','.join(map(str, r['parts'])):<18} {','.join(map(str, r['lengths']))}")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_tables(args) -> int:
-    inst = NetworkInstance.from_json(_read(args.instance))
-    return _run_table(inst, args.lmax, args.seed, args.out)
-
-
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     res = DesignResult.from_json(_read(args.design))
     inst = res.instance
     n = res.n
@@ -168,7 +167,7 @@ def cmd_simulate(args) -> int:
     }
     if res.code is not None:
         tower = res.code.code.tower
-        if tower.order <= _TABLE_FIELD_MAX and tower.order ** res.k <= _ENUM_GUARD:
+        if _enumerable(tower, res.k):
             import random
 
             rng = random.Random(args.seed)
@@ -213,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.add_argument("--ell", type=int, help="override the block count")
     p_des.add_argument("--build", action="store_true",
                        help="also synthesize the constrained code")
-    p_des.add_argument("--table", type=int, metavar="LMAX",
-                       help="sweep ell = 1..LMAX and print table rows")
     p_des.add_argument("--seed", type=int, default=0)
     p_des.add_argument("--out")
     p_des.set_defaults(func=cmd_design)

@@ -118,10 +118,6 @@ class SkewPoly:
     def __mul__(self, other):
         return skew_mul(self, other)
 
-    def scale_left(self, c) -> "SkewPoly":
-        t = self.tower
-        return SkewPoly(t, tuple(t.mul(c, x) for x in self.coeffs))
-
 
 def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Product with the twist X*a = sigma(a)*X."""

@@ -110,7 +110,7 @@ def test_design_toy(toy_instance, capsys):
 
 def test_design_table_sweep(toy_instance, tmp_path, capsys):
     out_file = tmp_path / "table.json"
-    rc = main(["design", toy_instance, "--table", "4", "--out", str(out_file)])
+    rc = main(["tables", toy_instance, "--lmax", "4", "--out", str(out_file)])
     assert rc == 0
     rows = json.loads(out_file.read_text())
     assert [(r["n"], r["distance"]) for r in rows] == [
@@ -171,6 +171,25 @@ def test_simulate_adversarial_micro_design(tmp_path, capsys):
     assert out["decode"]["successes"] == out["decode"]["trials"]
 
 
+@pytest.mark.parametrize("flag", ["--q", "--m"])
+def test_construct_lone_field_flag_exit_code(flag, tmp_path, capsys):
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    rc = main(["construct", str(path), "--n", "4", "--parts", "2,2", flag, "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--q and --m" in captured.err
+    assert captured.out == ""
+
+
+def test_construct_q_not_prime_power_exit_code(tmp_path, capsys):
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    rc = main(["construct", str(path), "--n", "4", "--parts", "2,2", "--q", "6", "--m", "2"])
+    assert rc == 2
+    assert "prime power" in capsys.readouterr().err
+
+
 def test_construct_parts_mismatch_exit_code(tmp_path, capsys):
     path = tmp_path / "p.pattern"
     path.write_text("2\n1\n")
@@ -190,6 +209,18 @@ def test_simulate_binary_field_channel(toy_instance, tmp_path, capsys):
     assert rc == 0
     assert out["design"]["q"] == 2
     assert out["channel"]["bounds_ok"]
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_simulate_rejects_nonpositive_trials(trials, toy_instance, tmp_path, capsys):
+    design_path = tmp_path / "design.json"
+    assert main(["design", toy_instance, "--out", str(design_path)]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", str(design_path), "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_deterministic(toy_instance, tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Field tower construction, Frobenius, expansion and conjugacy classes."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsnet.gf import FieldTower, make_field, mat_det, mat_inv, mat_mul, mat_rank
 
@@ -304,3 +308,135 @@ def test_degenerate_tower_m_one(p, e):
         x = tower.mul(x, tower.gamma)
     assert len(seen) == tower.order - 1  # gamma generates
     assert tower.frobenius(tower.gamma) == tower.gamma  # sigma = identity at m=1
+
+
+# ----------------------------------------------------------------------
+# Pinned moduli: the default modulus search must keep choosing these, since a
+# different modulus changes every element encoding and every serialized code.
+
+SPEC_GOLDEN = {
+    (3, 1, 1): ([0, 1], [1, 1]),
+    (5, 1, 3): ([0, 1], [2, 3, 0, 1]),
+    (2, 1, 8): ([0, 1], [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+    (3, 1, 4): ([0, 1], [2, 1, 0, 0, 1]),
+    (5, 1, 10): ([0, 1], [3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]),
+    (2, 2, 1): ([1, 1, 1], [2, 1]),
+    (2, 2, 3): ([1, 1, 1], [2, 1, 1, 1]),
+    (2, 3, 4): ([1, 1, 0, 1], [3, 1, 0, 0, 1]),
+    (2, 2, 10): ([1, 1, 1], [3, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1]),
+    (3, 2, 2): ([1, 0, 1], [5, 1, 1]),
+    (3, 3, 2): ([1, 2, 0, 1], [10, 1, 1]),
+    (5, 2, 3): ([2, 0, 1], [6, 1, 0, 1]),
+    (7, 2, 2): ([1, 0, 1], [12, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("pem", sorted(SPEC_GOLDEN))
+def test_spec_golden(pem):
+    base, top = SPEC_GOLDEN[pem]
+    p, e, m = pem
+    assert make_field(p, e, m).spec() == {
+        "p": p, "e": e, "m": m, "base_modulus": base, "top_modulus": top}
+
+
+# ----------------------------------------------------------------------
+# Elimination (rank, determinant, inverse) against oracles that do no
+# elimination: row-span sizes, Leibniz determinants and nonzero minors.
+# Towers: prime q, p = 2 on the carry-less path (order past the log tables),
+# and odd p with e >= 2 on the log-table and the generic multiplication path.
+
+LINALG_TOWERS = [make_field(5, 1, 2), make_field(2, 1, 17),
+                 make_field(3, 2, 2), make_field(3, 2, 6)]
+_tower_ids = [repr(t) for t in LINALG_TOWERS]
+_linalg_settings = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def _matrices(draw, size, max_rows, max_cols, square=False):
+    """Rows of entries in range(size); with some chance the last row is a
+    combination of the others, so rank-deficient inputs are common."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, size - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    coeffs = draw(st.none() | st.lists(entry, min_size=nrows - 1, max_size=nrows - 1))
+    return rows, coeffs
+
+
+def _with_dependent_row(rows, coeffs, add, mul):
+    if coeffs is None or len(rows) < 2:
+        return rows
+    last = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        last = [add(x, mul(c, y)) for x, y in zip(last, row)]
+    return rows[:-1] + [last]
+
+
+def _leibniz(tower, A):
+    det = 0
+    for perm in itertools.permutations(range(len(A))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = tower.mul(term, A[i][j])
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        det = tower.add(det, tower.neg(term) if inversions % 2 else term)
+    return det
+
+
+def _rank_by_minors(tower, A):
+    nrows, ncols = len(A), len(A[0])
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in itertools.combinations(range(nrows), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if _leibniz(tower, [[A[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+@_linalg_settings
+@given(data=st.data())
+def test_base_matrix_rank_matches_span_size(tower, data):
+    rows, coeffs = data.draw(_matrices(tower.q, 4, 4))
+    rows = _with_dependent_row(rows, coeffs, tower.base_add, tower.base_mul)
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        span = {tuple(tower.base_add(x, tower.base_mul(c, y)) for x, y in zip(v, row))
+                for v in span for c in range(tower.q)}
+    assert tower.q ** tower.base_matrix_rank(np.array(rows)) == len(span)
+
+
+@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+@_linalg_settings
+@given(data=st.data())
+def test_mat_rank_matches_minors(tower, data):
+    rows, coeffs = data.draw(_matrices(tower.order, 4, 4))
+    rows = _with_dependent_row(rows, coeffs, tower.add, tower.mul)
+    assert mat_rank(tower, rows) == _rank_by_minors(tower, rows)
+
+
+@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+@_linalg_settings
+@given(data=st.data())
+def test_mat_det_matches_leibniz(tower, data):
+    rows, coeffs = data.draw(_matrices(tower.order, 4, 4, square=True))
+    rows = _with_dependent_row(rows, coeffs, tower.add, tower.mul)
+    assert mat_det(tower, rows) == _leibniz(tower, rows)
+
+
+@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+@_linalg_settings
+@given(data=st.data())
+def test_mat_inv_is_two_sided_inverse(tower, data):
+    rows, coeffs = data.draw(_matrices(tower.order, 4, 4, square=True))
+    rows = _with_dependent_row(rows, coeffs, tower.add, tower.mul)
+    n = len(rows)
+    if _leibniz(tower, rows) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(tower, rows)
+        return
+    inv = mat_inv(tower, rows)
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert mat_mul(tower, rows, inv) == identity
+    assert mat_mul(tower, inv, rows) == identity
