@@ -19,7 +19,7 @@ from .constraints import (
     parse_pattern,
     suggest_field_params,
 )
-from .gf import _NUMPY_TABLE_MAX, make_field, prime_power
+from .gf import make_field, prime_power
 from .netsim import (
     DesignResult,
     NetworkInstance,
@@ -27,7 +27,7 @@ from .netsim import (
     even_partition,
     weight_statistics,
 )
-from .sumrank import _BRUTE_FORCE_MAX, OrderedPartition, min_distance_bruteforce
+from .sumrank import OrderedPartition, enumerable, min_distance_bruteforce
 
 
 def _emit(doc: dict, out_path: str | None):
@@ -41,12 +41,6 @@ def _emit(doc: dict, out_path: str | None):
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _enumerable(tower, k: int) -> bool:
-    """True when a k-dimensional code over `tower` is small enough for the
-    table-driven brute-force distance and decoding."""
-    return tower.order <= _NUMPY_TABLE_MAX and tower.order ** k <= _BRUTE_FORCE_MAX
 
 
 def cmd_check(args) -> int:
@@ -98,7 +92,7 @@ def cmd_construct(args) -> int:
         "parts": list(part.parts), "attempts": cc.attempts, "seed": args.seed,
         "support_ok": not mismatches,
     }
-    if _enumerable(tower, sc.k):
+    if enumerable(tower, sc.k):
         d = min_distance_bruteforce(tower, [list(r) for r in cc.matrix], part)
         doc["distance"] = d
         doc["distance_optimal"] = d == sc.n - cc.cover_dim + 1
@@ -112,7 +106,7 @@ def cmd_construct(args) -> int:
 
 def cmd_design(args) -> int:
     inst = NetworkInstance.from_json(_read(args.instance))
-    if args.ell:
+    if args.ell is not None:
         inst = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
                                t=inst.t, rho=inst.rho, ell=args.ell)
     res = build_distributed_code(inst, seed=args.seed, build_code=args.build)
@@ -125,6 +119,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.lmax < 1:
+        raise ValueError("--lmax must be at least 1")
     inst = NetworkInstance.from_json(_read(args.instance))
     rows = []
     for ell in range(1, args.lmax + 1):
@@ -167,7 +163,7 @@ def cmd_simulate(args) -> int:
     }
     if res.code is not None:
         tower = res.code.code.tower
-        if _enumerable(tower, res.k):
+        if enumerable(tower, res.k):
             import random
 
             rng = random.Random(args.seed)

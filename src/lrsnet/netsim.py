@@ -32,6 +32,10 @@ class InfeasibleDesign(ValueError):
         self.demand = demand
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     h: int                 # number of messages
@@ -68,6 +72,19 @@ class NetworkInstance:
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("instance JSON must be an object")
+        missing = [f'"{key}"' for key in ("h", "r", "S", "t", "rho", "ell") if key not in doc]
+        if missing:
+            raise ValueError(f"instance JSON lacks {', '.join(missing)}")
+        for key in ("h", "t", "rho", "ell"):
+            if not _is_int(doc[key]):
+                raise ValueError(f'instance field "{key}" must be an integer')
+        if not (isinstance(doc["r"], list) and all(map(_is_int, doc["r"]))):
+            raise ValueError('instance field "r" must be a list of integers')
+        if not (isinstance(doc["S"], list) and all(
+                isinstance(a, list) and all(map(_is_int, a)) for a in doc["S"])):
+            raise ValueError('instance field "S" must be a list of integer lists')
         return cls(h=doc["h"], lengths=tuple(doc["r"]),
                    access=tuple(frozenset(a) for a in doc["S"]),
                    t=doc["t"], rho=doc["rho"], ell=doc["ell"])
@@ -81,7 +98,7 @@ class NetworkInstance:
 
 
 def _subset_constraints(inst: NetworkInstance):
-    """(source cover mask, capacity demand, zero-pattern demand) per subset."""
+    """(source cover mask, zero-pattern demand, message subset) per subset."""
     out = []
     for omega_bits in range(1, 1 << inst.h):
         omega = {g for g in range(1, inst.h + 1) if omega_bits >> (g - 1) & 1}
@@ -90,8 +107,8 @@ def _subset_constraints(inst: NetworkInstance):
         for idx, a in enumerate(inst.access):
             if a & omega:
                 cover |= 1 << idx
-        out.append((cover, rsum + 2 * inst.t + inst.rho,
-                    rsum + 2 * inst.ell * inst.t + inst.rho, omega))
+        # ell >= 1, so this dominates the capacity demand rsum + 2t + rho
+        out.append((cover, rsum + 2 * inst.ell * inst.t + inst.rho, omega))
     return out
 
 
@@ -102,10 +119,9 @@ def design_lengths(inst: NetworkInstance):
     if inst.h > _DESIGN_GUARD or inst.s > _DESIGN_GUARD:
         raise ValueError(f"instance beyond the design guard of {_DESIGN_GUARD}")
     cons = _subset_constraints(inst)
-    # both families demand sums over the sources meeting the subset
+    # each demand is a sum over the sources meeting the subset
     demands = {}
-    for cover, cap_demand, zero_demand, omega in cons:
-        demand = max(cap_demand, zero_demand)
+    for cover, demand, omega in cons:
         if cover == 0 and demand > 0:
             raise InfeasibleDesign(omega, demand)
         demands[cover] = max(demands.get(cover, 0), demand)
@@ -117,7 +133,6 @@ def design_lengths(inst: NetworkInstance):
     best = None
 
     def feasible(target):
-        nonlocal best
         lengths = [0] * s
 
         def dfs(i, remaining):
@@ -153,14 +168,6 @@ def design_lengths(inst: NetworkInstance):
                 lengths[i] = 0
             return False
 
-        if s == 1:
-            lengths[0] = target
-            ok = all(
-                sum(lengths[j] for j in range(s) if cover >> j & 1) >= demand
-                for cover, demand in packed) and target <= cap
-            if ok:
-                best = tuple(lengths)
-            return ok
         return dfs(0, target)
 
     target = lower

@@ -124,13 +124,36 @@ NO_CODEWORD = "no_codeword"
 AMBIGUOUS = "ambiguous"
 
 
+def enumerable(tower: FieldTower, k: int) -> bool:
+    """True when a k-dimensional code over `tower` is small enough for the
+    table-driven brute-force distance and decoding."""
+    return tower.order <= gf._NUMPY_TABLE_MAX and tower.order ** k <= _BRUTE_FORCE_MAX
+
+
 def _check_guard(tower, k):
-    count = tower.order ** k
-    if count > _BRUTE_FORCE_MAX:
-        raise ValueError(f"{count} messages exceed the brute-force guard")
     if k == 0:
         raise ValueError("zero-dimensional code")
-    return count
+    if not enumerable(tower, k):
+        raise ValueError(
+            f"brute-force enumeration needs q^m <= {gf._NUMPY_TABLE_MAX} and "
+            f"(q^m)^k <= {_BRUTE_FORCE_MAX}; got q^m = {tower.order}, k = {k}")
+
+
+def _codeword_chunks(tower, add, mul, G, start):
+    """Yield (message indices, codeword array) chunk by chunk over messages
+    start, start + 1, ..., (q^m)^k - 1; digit i of an index in base q^m is
+    coordinate i of its message."""
+    order, k, n = tower.order, len(G), len(G[0])
+    total = order ** k
+    for lo in range(start, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        cw = np.zeros((idx.shape[0], n), dtype=np.int64)
+        for i, gi in enumerate(G):
+            di = (idx // order ** i) % order
+            for j in range(n):
+                if gi[j]:
+                    cw[:, j] = add[cw[:, j], mul[di, gi[j]]]
+        yield idx, cw
 
 
 def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int:
@@ -141,47 +164,13 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
         raise ValueError("generator width does not match partition")
     if gf.mat_rank(tower, G) < k:
         return 0  # some nonzero message encodes to the zero word
-    if tower.order <= gf._NUMPY_TABLE_MAX:
-        return _min_distance_numpy(tower, G, part)
+    add, mul = tower.numpy_tables()
     best = part.n
-    for msg in _iter_messages(tower, k, skip_zero=True):
-        w = sum_rank_weight(tower, gf.vec_mat(tower, list(msg), G), part)
-        if w < best:
-            best = w
-            if best <= 1:
-                break
+    for _, cw in _codeword_chunks(tower, add, mul, G, 1):
+        best = min(best, int(_batch_weights(tower, add, mul, cw, part).min()))
+        if best <= 1:
+            break
     return best
-
-
-def _iter_messages(tower, k, skip_zero=False):
-    order = tower.order
-    total = order ** k
-    for idx in range(1 if skip_zero else 0, total):
-        msg = []
-        v = idx
-        for _ in range(k):
-            msg.append(v % order)
-            v //= order
-        yield tuple(msg)
-
-
-def _message_digits(tower, idx_arr, k):
-    order = tower.order
-    return [(idx_arr // order ** i) % order for i in range(k)]
-
-
-def _encode_batch(tower, add, mul, digits, G):
-    """Codeword array (B, n) for a batch of message digit arrays."""
-    k, n = len(G), len(G[0])
-    B = digits[0].shape[0]
-    cw = np.zeros((B, n), dtype=np.int64)
-    for i in range(k):
-        gi = G[i]
-        di = digits[i]
-        for j in range(n):
-            if gi[j]:
-                cw[:, j] = add[cw[:, j], mul[di, gi[j]]]
-    return cw
 
 
 def _block_ranks(tower, add, mul, block):
@@ -221,24 +210,6 @@ def _batch_weights(tower, add, mul, cw, part):
     return total
 
 
-def _min_distance_numpy(tower, G, part):
-    add, mul = tower.numpy_tables()
-    k = len(G)
-    total = tower.order ** k
-    best = part.n
-    for start in range(1, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = _message_digits(tower, idx, k)
-        cw = _encode_batch(tower, add, mul, digits, G)
-        w = _batch_weights(tower, add, mul, cw, part)
-        m = int(w.min())
-        if m < best:
-            best = m
-            if best <= 1:
-                break
-    return best
-
-
 def bruteforce_decode(tower: FieldTower, G, part: OrderedPartition, y,
                       code_distance: int | None = None) -> DecodeResult:
     """Nearest-codeword decoding within radius floor((d-1)/2).
@@ -255,44 +226,22 @@ def bruteforce_decode(tower: FieldTower, G, part: OrderedPartition, y,
         code_distance = min_distance_bruteforce(tower, G, part)
     radius = (code_distance - 1) // 2
 
-    if tower.order <= gf._NUMPY_TABLE_MAX:
-        best, best_idx, tie = _nearest_numpy(tower, G, part, y)
+    add, mul = tower.numpy_tables()
+    neg = (add == 0).argmax(axis=1)
+    ny = neg[np.asarray(y, dtype=np.int64)]
+    best, best_idx, tie = part.n + 1, 0, False
+    for idx, cw in _codeword_chunks(tower, add, mul, G, 0):
+        w = _batch_weights(tower, add, mul, add[cw, ny], part)
+        m = int(w.min())
+        if m < best:
+            hits = idx[w == m]
+            best, best_idx, tie = m, int(hits[0]), len(hits) > 1
+        elif m == best:
+            tie = True
+    if best <= radius:
         order = tower.order
         msg = tuple((best_idx // order ** i) % order for i in range(k))
-    else:
-        best, msg, tie = part.n + 1, None, False
-        for cand in _iter_messages(tower, k):
-            w = sum_rank_distance(tower, gf.vec_mat(tower, list(cand), G), y, part)
-            if w < best:
-                best, msg, tie = w, cand, False
-            elif w == best:
-                tie = True
-    if best <= radius:
         return DecodeResult(DECODED, msg, best)
     if tie:
         return DecodeResult(AMBIGUOUS, None, best)
     return DecodeResult(NO_CODEWORD, None, best)
-
-
-def _nearest_numpy(tower, G, part, y):
-    add, mul = tower.numpy_tables()
-    neg = (add == 0).argmax(axis=1)
-    k = len(G)
-    total = tower.order ** k
-    ny = np.array([neg[v] for v in y], dtype=np.int64)
-    best, best_idx, tie = part.n + 1, 0, False
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = _message_digits(tower, idx, k)
-        cw = _encode_batch(tower, add, mul, digits, G)
-        diff = add[cw, ny[None, :]]
-        w = _batch_weights(tower, add, mul, diff, part)
-        m = int(w.min())
-        if m < best:
-            best = m
-            hits = idx[w == m]
-            best_idx = int(hits[0])
-            tie = len(hits) > 1
-        elif m == best:
-            tie = True
-    return best, best_idx, tie

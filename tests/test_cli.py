@@ -128,6 +128,47 @@ def test_tables_alias(toy_instance, capsys):
     assert "[19,9,11]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_design_rejects_nonpositive_ell(ell, toy_instance, capsys):
+    rc = main(["design", toy_instance, "--ell", ell])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "ell >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lmax", ["0", "-2"])
+def test_tables_rejects_nonpositive_lmax(lmax, toy_instance, capsys):
+    rc = main(["tables", toy_instance, "--lmax", lmax])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--lmax" in captured.err
+    assert captured.out == ""
+
+
+def test_design_instance_missing_key_exit_code(tmp_path, capsys):
+    doc = json.loads(TOY_JSON)
+    del doc["ell"]
+    path = tmp_path / "noell.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["design", str(path)])
+    assert rc == 2
+    assert '"ell"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ell", "3"), ("t", 1.5), ("rho", True), ("r", 9), ("S", [1, 2]), ("S", [["1"]]),
+], ids=["ell-str", "t-float", "rho-bool", "r-int", "S-flat", "S-str"])
+def test_design_instance_wrong_type_exit_code(key, value, tmp_path, capsys):
+    doc = json.loads(TOY_JSON)
+    doc[key] = value
+    path = tmp_path / "badtype.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["design", str(path)])
+    assert rc == 2
+    assert f'"{key}"' in capsys.readouterr().err
+
+
 def test_design_unreachable_message(tmp_path, capsys):
     doc = {"h": 2, "r": [1, 1], "S": [[1]], "t": 0, "rho": 0, "ell": 1}
     path = tmp_path / "bad.json"

@@ -1,10 +1,15 @@
 """Sum-rank weights, brute-force minimum distance and the micro decoder."""
 
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrsnet.gf import make_field, mat_rank
+from lrsnet import sumrank
+from lrsnet.gf import make_field, mat_rank, vec_mat
 from lrsnet.lrs import make_code, generator_matrix
 from lrsnet.sumrank import (
     AMBIGUOUS,
@@ -12,6 +17,7 @@ from lrsnet.sumrank import (
     NO_CODEWORD,
     OrderedPartition,
     bruteforce_decode,
+    enumerable,
     min_distance_bruteforce,
     sum_rank_distance,
     sum_rank_weight,
@@ -161,23 +167,6 @@ def test_rank_one_row_distance():
     assert min_distance_bruteforce(F9, row, part) == F9.rank_over_base([1, 2, 0])
 
 
-def test_numpy_and_python_paths_agree():
-    rng = random.Random(7)
-    part = OrderedPartition((2, 2))
-    for _ in range(10):
-        Gm = [[F9.random_element(rng) for _ in range(4)] for _ in range(2)]
-        if mat_rank(F9, Gm) < 2:
-            continue
-        fast = min_distance_bruteforce(F9, Gm, part)
-        slow = min(
-            sum_rank_weight(F9, [
-                F9.add(F9.mul(m0, Gm[0][j]), F9.mul(m1, Gm[1][j])) for j in range(4)
-            ], part)
-            for m0 in range(9) for m1 in range(9) if (m0, m1) != (0, 0)
-        )
-        assert fast == slow
-
-
 def test_decode_exact_codeword():
     from lrsnet.lrs import encode
 
@@ -232,3 +221,125 @@ def test_decode_failure_outside_radius():
 def test_degenerate_generator_distance_zero():
     Gm = [[1, 2, 0, 0], [F9.mul(2, 1), F9.mul(2, 2), 0, 0]]
     assert min_distance_bruteforce(F9, Gm, OrderedPartition((2, 2))) == 0
+
+
+# ----------------------------------------------------------------------
+# the enumeration kernel against an independent oracle
+
+ENUM_TOWERS = [F9, make_field(2, 2, 2), make_field(3, 1, 3)]  # F_16 uses the XOR add table
+_enum_ids = ["F9", "F16", "F27"]
+_enum_settings = settings(max_examples=25, deadline=None)
+# small chunk sizes make minima and ties span several chunks
+_chunk_sizes = st.sampled_from([sumrank._CHUNK, 5, 64])
+
+
+def _messages_by_index(tower, k):
+    """Every message in increasing index order (coordinate 0 varies fastest)."""
+    for rev in itertools.product(range(tower.order), repeat=k):
+        yield rev[::-1]
+
+
+def _oracle_weights(tower, Gm, part, y):
+    """(sum-rank distance of msg * Gm to y, msg) for every message."""
+    return [(sum_rank_distance(tower, vec_mat(tower, list(msg), Gm), y, part), msg)
+            for msg in _messages_by_index(tower, len(Gm))]
+
+
+@st.composite
+def _codes(draw, tower):
+    """(generator, partition) with (q^m)^k <= 729; the last row is sometimes
+    a multiple of the first, so rank-deficient generators are common."""
+    k = draw(st.integers(1, 3 if tower.order <= 9 else 2))
+    n = draw(st.integers(k, 5))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, tower.order - 1))
+    Gm = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        c = draw(entry)
+        Gm[-1] = [tower.mul(c, x) for x in Gm[0]]
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)) if n > 1 else []
+    bounds = [0] + sorted(cuts) + [n]
+    return Gm, OrderedPartition([b - a for a, b in zip(bounds, bounds[1:])])
+
+
+@pytest.mark.parametrize("tower", ENUM_TOWERS, ids=_enum_ids)
+@_enum_settings
+@given(data=st.data())
+def test_min_distance_matches_oracle(tower, data):
+    Gm, part = data.draw(_codes(tower))
+    weights = _oracle_weights(tower, Gm, part, [0] * part.n)
+    expected = min(w for w, msg in weights if any(msg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumrank, "_CHUNK", data.draw(_chunk_sizes))
+        assert min_distance_bruteforce(tower, Gm, part) == expected
+
+
+@pytest.mark.parametrize("tower", ENUM_TOWERS, ids=_enum_ids)
+@_enum_settings
+@given(data=st.data())
+def test_decode_matches_oracle(tower, data):
+    Gm, part = data.draw(_codes(tower))
+    entry = st.one_of(st.just(0), st.integers(0, tower.order - 1))
+    msg = data.draw(st.lists(st.integers(0, tower.order - 1), min_size=len(Gm),
+                             max_size=len(Gm)))
+    err = data.draw(st.lists(entry, min_size=part.n, max_size=part.n))
+    y = [tower.add(c, e) for c, e in zip(vec_mat(tower, msg, Gm), err)]
+    # a stated distance above the true one widens the radius, so ties can
+    # fall inside it and the lowest message index must win
+    code_distance = data.draw(st.none() | st.integers(0, part.n + 2))
+    weights = _oracle_weights(tower, Gm, part, y)
+    best = min(w for w, _ in weights)
+    winners = [m for w, m in weights if w == best]
+    if code_distance is None:
+        code_distance = min(w for w, m in _oracle_weights(tower, Gm, part, [0] * part.n)
+                            if any(m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumrank, "_CHUNK", data.draw(_chunk_sizes))
+        res = bruteforce_decode(tower, Gm, part, y, code_distance=code_distance)
+    if best <= (code_distance - 1) // 2:
+        assert (res.status, res.message, res.distance) == (DECODED, winners[0], best)
+    elif len(winners) > 1:
+        assert (res.status, res.message, res.distance) == (AMBIGUOUS, None, best)
+    else:
+        assert (res.status, res.message, res.distance) == (NO_CODEWORD, None, best)
+
+
+def test_min_distance_matches_oracle_on_seeded_f9_codes():
+    rng = random.Random(7)
+    part = OrderedPartition((2, 2))
+    for _ in range(10):
+        Gm = [[F9.random_element(rng) for _ in range(4)] for _ in range(2)]
+        if mat_rank(F9, Gm) < 2:
+            continue
+        fast = min_distance_bruteforce(F9, Gm, part)
+        slow = min(
+            sum_rank_weight(F9, [
+                F9.add(F9.mul(m0, Gm[0][j]), F9.mul(m1, Gm[1][j])) for j in range(4)
+            ], part)
+            for m0 in range(9) for m1 in range(9) if (m0, m1) != (0, 0)
+        )
+        assert fast == slow
+
+
+def test_enumerable_bounds():
+    assert enumerable(make_field(2, 1, 9), 2)  # q^m = 512, 2^18 messages
+    assert not enumerable(make_field(2, 1, 10), 1)  # q^m = 1024 > 512
+    assert enumerable(F9, 6) and not enumerable(F9, 7)  # 9^7 > 2^22
+
+
+def test_guard_fails_fast_above_table_order():
+    big = make_field(2, 1, 10)
+    part = OrderedPartition((1, 1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="brute-force enumeration"):
+        min_distance_bruteforce(big, [[1, 0]], part)
+    with pytest.raises(ValueError, match="brute-force enumeration"):
+        bruteforce_decode(big, [[1, 0]], part, [0, 0], code_distance=1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_guard_rejects_zero_dimension():
+    part = OrderedPartition((2, 2))
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        min_distance_bruteforce(F9, [], part)
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        bruteforce_decode(F9, [], part, [0] * 4, code_distance=1)
