@@ -2,9 +2,26 @@
 
 A constraint prescribes zero sets Z_1..Z_k of column indices.  A full-support
 MSRD code compatible with them exists exactly when every nonempty row subset
-satisfies |intersection of its zero sets| + |subset| <= k; the maximum of
-that expression over all subsets is the smallest dimension of a covering
-code whose subcode meets infeasible patterns optimally.
+W satisfies |intersection of Z_i, i in W| + |W| <= k; the maximum of that
+expression over all subsets is the smallest dimension of a covering code
+whose subcode meets infeasible patterns optimally.
+
+Every answer comes from maximum matchings in the bipartite support graph,
+where row r is joined to column c iff c is not in Z_r.  For a subset W that
+holds row i, the rows of W - {i} and the columns of the intersection form an
+independent set of the subgraph on the rows != i and the columns of Z_i, and
+every independent set there arises this way.  By Koenig's theorem the
+largest has (k - 1) + |Z_i| - nu_i vertices, nu_i the size of a maximum
+matching, so the maximum over the W holding i is k + |Z_i| - nu_i: the
+condition holds iff every Z_i matches completely into the other rows, and
+the cover dimension is k plus the largest deficiency |Z_i| - nu_i.
+
+Every subset meets the bound with equality exactly when k = 1 and Z_1 is
+empty, or Z_i = U - {c_i} for one k-set U and distinct c_i: singletons force
+|Z_i| = k - 1, pairs force the Z_i apart, and inclusion-exclusion over the
+values k - |W| gives |union of the Z_i| = k.  Conversely, zero sets of
+size k - 1 with a union of size k are such a system once they are distinct,
+which the condition ensures.
 """
 
 from __future__ import annotations
@@ -13,8 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf import prime_power
-
-_SUBSET_SCAN_MAX_K = 24
 
 
 @dataclass(frozen=True)
@@ -43,102 +58,150 @@ class ConditionReport:
     equality_system: bool   # every subset meets the bound with equality
 
 
-def _guard(sc: SupportConstraint):
-    if sc.k > _SUBSET_SCAN_MAX_K:
-        raise ValueError(f"k = {sc.k} exceeds the subset-scan guard {_SUBSET_SCAN_MAX_K}")
+def _support(sc: SupportConstraint) -> list:
+    """adj[c]: bitmask of the rows whose zero set misses 0-based column c."""
+    adj = [(1 << sc.k) - 1] * sc.n
+    for r, z in enumerate(sc.zero_sets):
+        for j in z:
+            adj[j - 1] &= ~(1 << r)
+    return adj
+
+
+def _augment(adj, row_of, col_of, start, seen) -> bool:
+    """Grow a matching of columns into rows by one augmenting path from the
+    free column `start`.
+
+    adj[c] is the bitmask of rows joined to column c, row_of/col_of hold the
+    matched pairs both ways, and rows set in `seen` are barred.  The search
+    is iterative, so no path length meets the recursion limit; on failure
+    the matching is left as it was.
+    """
+    path, picked = [start], []
+    while path:
+        free = adj[path[-1]] & ~seen
+        if not free:
+            path.pop()
+            if picked:
+                picked.pop()
+            continue
+        low = free & -free
+        seen |= low
+        row = low.bit_length() - 1
+        picked.append(row)
+        nxt = col_of.get(row)
+        if nxt is None:
+            for c, r in zip(path, picked):
+                row_of[c] = r
+                col_of[r] = c
+            return True
+        path.append(nxt)
+    return False
+
+
+def _matching(adj, cols: int, barred: int):
+    """Maximum matching of the column bitmask `cols` into the rows outside
+    `barred`, as (row_of, col_of)."""
+    row_of, col_of = {}, {}
+    while cols:
+        low = cols & -cols
+        _augment(adj, row_of, col_of, low.bit_length() - 1, barred)
+        cols ^= low
+    return row_of, col_of
+
+
+def _deficiency(adj, cols: int, barred: int) -> int:
+    """Columns of `cols` left unmatched by a maximum matching."""
+    return cols.bit_count() - len(_matching(adj, cols, barred)[0])
+
+
+def _least_witness(sc: SupportConstraint, adj) -> tuple:
+    """Lexicographically least violating row subset of a failing pattern.
+
+    Walks the include-first subset order, which is lexicographic on sorted
+    tuples, and enters a row only when its subtree holds a violation.  With
+    rows `chosen` taken and the later rows free, the best value in the
+    subtree is |chosen| + |later rows| + |inter| - nu(later rows, inter), by
+    the same Koenig argument as the decision; so the walk costs O(k^2)
+    matchings.
+    """
+    k, masks = sc.k, sc.masks()
+    chosen, inter, start = [], (1 << sc.n) - 1, 0
+    while True:
+        row = next(r for r in range(start, k)
+                   if _deficiency(adj, inter & masks[r], (2 << r) - 1) > r - len(chosen))
+        chosen.append(row + 1)
+        inter &= masks[row]
+        if inter.bit_count() + len(chosen) > k:
+            return tuple(chosen)
+        start = row + 1
+
+
+def _equality_system(sc: SupportConstraint) -> bool:
+    """Whether every subset meets the bound with equality, for a pattern that
+    holds the condition: holding it forces Z_1 empty at k = 1 and keeps
+    zero sets of size k - 1 pairwise distinct."""
+    return sc.k == 1 or (all(len(z) == sc.k - 1 for z in sc.zero_sets)
+                         and len(frozenset().union(*sc.zero_sets)) == sc.k)
 
 
 def check_condition(sc: SupportConstraint) -> ConditionReport:
-    """Exhaustive scan of all nonempty row subsets (include-first DFS, so the
-    first violation found is the lexicographically least one)."""
-    _guard(sc)
-    masks = sc.masks()
-    k = sc.k
-    full = (1 << sc.n) - 1
-    equality = True
-    # iterative DFS stack: (next row index, chosen count, running intersection)
-    violation = None
-
-    def dfs(i, count, inter, chosen):
-        nonlocal equality, violation
-        for j in range(i, k):
-            new_inter = inter & masks[j]
-            new_count = count + 1
-            value = new_inter.bit_count() + new_count
-            chosen.append(j + 1)
-            if value > k:
-                violation = tuple(chosen)
-                chosen.pop()
-                return True
-            if value != k:
-                equality = False
-            # supersets only shrink the intersection; with an empty one the
-            # value is the subset size, at most k, and below k until full
-            if new_inter == 0:
-                if new_count < k:
-                    equality = False
-            elif dfs(j + 1, new_count, new_inter, chosen):
-                chosen.pop()
-                return True
-            chosen.pop()
-        return False
-
-    found = dfs(0, 0, full, [])
-    if found:
-        return ConditionReport(False, violation, False)
-    return ConditionReport(True, None, equality)
+    """Decide the condition by matching each Z_i into the other rows (no row
+    need be barred: row i is joined to no column of Z_i); on a violation,
+    report the lexicographically least violating row subset."""
+    adj = _support(sc)
+    if all(_deficiency(adj, mask, 0) == 0 for mask in sc.masks()):
+        return ConditionReport(True, None, _equality_system(sc))
+    return ConditionReport(False, _least_witness(sc, adj), False)
 
 
 def cover_dimension(sc: SupportConstraint) -> int:
     """max over nonempty subsets of |intersection| + |subset| (always >= k)."""
-    _guard(sc)
-    masks = sc.masks()
-    k = sc.k
-    full = (1 << sc.n) - 1
-    best = 0
+    adj = _support(sc)
+    return sc.k + max(_deficiency(adj, mask, 0) for mask in sc.masks())
 
-    def dfs(i, count, inter):
-        nonlocal best
-        for j in range(i, k):
-            new_inter = inter & masks[j]
-            new_count = count + 1
-            value = new_inter.bit_count() + new_count
-            if value > best:
-                best = value
-            if new_inter == 0:
-                # deeper subsets only grow by cardinality
-                best = max(best, new_count + (k - j - 1))
-            elif new_inter.bit_count() + new_count + (k - j - 1) > best:
-                dfs(j + 1, new_count, new_inter)
 
-    dfs(0, 0, full)
-    return best
+def _add_zero(adj, matchings, i: int, c: int) -> bool:
+    """Make 0-based column c a zero of row i if the condition survives.
+
+    This deletes the edge (c, row i).  Row i's matching needs one augmenting
+    path from its new column c, and every other matching that paired c with
+    row i needs one from c again; if any fails, all is restored.
+    """
+    adj[c] &= ~(1 << i)
+    touched = [r for r, (row_of, _) in enumerate(matchings) if row_of.get(c) == i]
+    saved = [(r, dict(matchings[r][0]), dict(matchings[r][1])) for r in touched + [i]]
+    for r in touched:
+        row_of, col_of = matchings[r]
+        del row_of[c], col_of[i]
+    if all(_augment(adj, *matchings[r], c, 0) for r in touched + [i]):
+        return True
+    adj[c] |= 1 << i
+    for r, row_of, col_of in saved:
+        matchings[r] = (row_of, col_of)
+    return False
 
 
 def complete_zero_sets(sc: SupportConstraint) -> SupportConstraint:
     """Grow every zero set to size k-1, greedily, preserving the condition.
 
     Rows are processed in index order and candidate columns in increasing
-    order; a candidate is kept only if the condition still holds.
+    order; a candidate is kept only if the condition still holds, which the
+    per-row matchings of the decision, updated in place, tell.
     """
     report = check_condition(sc)
     if not report.holds:
         raise ValueError(f"condition violated by rows {report.witness}; cannot complete")
     if sc.k - 1 > sc.n:
         raise ValueError(f"rows need {sc.k - 1} zeros but only {sc.n} columns exist")
+    adj = _support(sc)
+    matchings = [_matching(adj, mask, 0) for mask in sc.masks()]
     zero_sets = [set(z) for z in sc.zero_sets]
     for i in range(sc.k):
-        if len(zero_sets[i]) > sc.k - 1:
-            raise AssertionError("condition held with an oversized zero set")
         for j in range(1, sc.n + 1):
             if len(zero_sets[i]) == sc.k - 1:
                 break
-            if j in zero_sets[i]:
-                continue
-            zero_sets[i].add(j)
-            trial = SupportConstraint(sc.n, sc.k, tuple(zero_sets))
-            if not check_condition(trial).holds:
-                zero_sets[i].remove(j)
+            if j not in zero_sets[i] and _add_zero(adj, matchings, i, j - 1):
+                zero_sets[i].add(j)
         if len(zero_sets[i]) < sc.k - 1:
             raise RuntimeError(
                 f"greedy completion stuck at row {i + 1} with {sorted(zero_sets[i])}; "

@@ -204,6 +204,8 @@ def cover_dimension_from_design(inst: NetworkInstance, lengths) -> int:
 
 def even_partition(n: int, ell: int) -> OrderedPartition:
     """Split n into ell near-equal parts with rounded block boundaries."""
+    if ell < 1:
+        raise ValueError("need ell >= 1 blocks")
     if n < ell:
         raise ValueError("fewer symbols than blocks")
     bounds = [(2 * l * n + ell) // (2 * ell) for l in range(ell + 1)]
@@ -242,6 +244,18 @@ class DesignResult:
     @classmethod
     def from_json(cls, text: str) -> "DesignResult":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("design JSON must be an object")
+        missing = [f'"{key}"' for key in ("instance", "code", "lengths", "n", "k", "cover_dim",
+                                          "distance", "q", "m", "parts") if key not in doc]
+        if missing:
+            raise ValueError(f"design JSON lacks {', '.join(missing)}")
+        for key in ("n", "k", "cover_dim", "distance", "q", "m"):
+            if not _is_int(doc[key]):
+                raise ValueError(f'design field "{key}" must be an integer')
+        for key in ("lengths", "parts"):
+            if not (isinstance(doc[key], list) and all(map(_is_int, doc[key]))):
+                raise ValueError(f'design field "{key}" must be a list of integers')
         inst = NetworkInstance.from_json(json.dumps(doc["instance"]))
         code = construct.from_json(json.dumps(doc["code"])) if doc["code"] else None
         sc = derive_zero_sets(inst.access, inst.lengths, doc["lengths"])
@@ -254,8 +268,7 @@ class DesignResult:
 def build_distributed_code(inst: NetworkInstance, seed: int = 0,
                            build_code: bool = True) -> DesignResult:
     """Full design pipeline; set build_code=False to stop after the sizing
-    stage (required for instances whose cover dimension exceeds the
-    subset-scan guard)."""
+    stage."""
     lengths, n = design_lengths(inst)
     sc = derive_zero_sets(inst.access, inst.lengths, lengths)
     ktil = cover_dimension_from_design(inst, lengths)

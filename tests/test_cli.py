@@ -239,6 +239,17 @@ def test_construct_parts_mismatch_exit_code(tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_construct_rejects_nonpositive_ell(ell, tmp_path, capsys):
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    rc = main(["construct", str(path), "--n", "4", "--ell", ell])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "ell >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_binary_field_channel(toy_instance, tmp_path, capsys):
     # ell = 1 design suggests q = 2; the channel then runs over F_2
     design_path = tmp_path / "design1.json"
@@ -262,6 +273,50 @@ def test_simulate_rejects_nonpositive_trials(trials, toy_instance, tmp_path, cap
     captured = capsys.readouterr()
     assert "--trials" in captured.err
     assert captured.out == ""
+
+
+@pytest.fixture
+def toy_design_doc(toy_instance, tmp_path, capsys):
+    design_path = tmp_path / "design.json"
+    assert main(["design", toy_instance, "--out", str(design_path)]) == 0
+    capsys.readouterr()
+    return json.loads(design_path.read_text())
+
+
+@pytest.mark.parametrize("key", ["n", "lengths", "instance"])
+def test_simulate_design_missing_key_exit_code(key, toy_design_doc, tmp_path, capsys):
+    del toy_design_doc[key]
+    path = tmp_path / "nokey.json"
+    path.write_text(json.dumps(toy_design_doc))
+    rc = main(["simulate", str(path), "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f'"{key}"' in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", "23"), ("k", 9.0), ("cover_dim", None), ("distance", True), ("q", [4]),
+    ("m", "10"), ("lengths", [6, "7", 2, 8]), ("parts", 23),
+], ids=["n-str", "k-float", "cover_dim-null", "distance-bool", "q-list", "m-str",
+        "lengths-str", "parts-int"])
+def test_simulate_design_wrong_type_exit_code(key, value, toy_design_doc, tmp_path, capsys):
+    toy_design_doc[key] = value
+    path = tmp_path / "badtype.json"
+    path.write_text(json.dumps(toy_design_doc))
+    rc = main(["simulate", str(path), "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f'"{key}"' in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_design_not_an_object_exit_code(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    rc = main(["simulate", str(path)])
+    assert rc == 2
+    assert "object" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(toy_instance, tmp_path, capsys):

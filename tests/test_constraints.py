@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lrsnet.constraints import (
     ConditionReport,
@@ -210,7 +212,140 @@ def test_pattern_parse_errors():
         parse_pattern("9\n", 4)
 
 
-def test_guard_on_subset_scan():
-    sc = SupportConstraint(30, 25, tuple(frozenset() for _ in range(25)))
-    with pytest.raises(ValueError, match="guard"):
-        check_condition(sc)
+def test_all_empty_k25_holds():
+    sc = SupportConstraint(30, 25, (frozenset(),) * 25)
+    assert check_condition(sc) == ConditionReport(True, None, False)
+    assert cover_dimension(sc) == 25
+
+
+def test_planted_patterns_at_large_k():
+    k, n = 64, 80
+    rng = random.Random(64)
+    universe = rng.sample(range(1, n + 1), k)
+    missing = rng.sample(universe, k)
+    eq = SupportConstraint(n, k, tuple(frozenset(universe) - {c} for c in missing))
+    assert check_condition(eq) == ConditionReport(True, None, True)
+    assert cover_dimension(eq) == k
+    assert complete_zero_sets(eq) == eq
+    # rows 5, 17, 40 share k - 2 zero columns, every other row has at most 3
+    # zeros off them: the triple reaches k + 1, every other subset stays <= k
+    common = rng.sample(range(1, n + 1), k - 2)
+    rest = sorted(set(range(1, n + 1)) - set(common))
+    zs = [frozenset(rng.sample(rest, rng.randrange(4))) for _ in range(k)]
+    for row in (5, 17, 40):
+        zs[row - 1] = frozenset(common)
+    bad = SupportConstraint(n, k, tuple(zs))
+    assert check_condition(bad) == ConditionReport(False, (5, 17, 40), False)
+    assert cover_dimension(bad) == k + 1
+    with pytest.raises(ValueError, match=r"\(5, 17, 40\)"):
+        complete_zero_sets(bad)
+
+
+def test_completion_of_empty_square_pattern_is_equality_system():
+    # k zero sets of size k - 1 inside k columns that hold the condition are
+    # pairwise distinct, so they form an equality system
+    k = 64
+    done = complete_zero_sets(SupportConstraint(k, k, (frozenset(),) * k))
+    assert all(len(z) == k - 1 for z in done.zero_sets)
+    assert check_condition(done) == ConditionReport(True, None, True)
+
+
+# ----------------------------------------------------------------------
+# property tests against the subset-scan oracle, k <= 7 and n <= 10
+
+
+@st.composite
+def random_patterns(draw, below_k=False):
+    """Any zero sets, empty ones and ones of size >= k included; with
+    below_k, every zero set has fewer than k columns."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 10))
+    size = k - 1 if below_k else n
+    zs = draw(st.lists(st.frozensets(st.integers(1, n), max_size=size),
+                       min_size=k, max_size=k))
+    return SupportConstraint(n, k, tuple(zs))
+
+
+@st.composite
+def equality_systems(draw):
+    """Z_i = U - {c_i} for a k-set U and a permutation c of U."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k, 10))
+    universe = draw(st.permutations(range(1, n + 1)))[:k]
+    missing = draw(st.permutations(universe))
+    return SupportConstraint(n, k, tuple(frozenset(universe) - {c} for c in missing))
+
+
+@st.composite
+def perturbed_equality_systems(draw):
+    """An equality system with one column added or removed in one row, or
+    with both done in one or two rows, which can keep every size at k - 1."""
+    sc = draw(equality_systems())
+    zs = list(sc.zero_sets)
+    for _ in range(draw(st.integers(1, 2))):
+        row = draw(st.integers(0, sc.k - 1))
+        col = draw(st.integers(1, sc.n))
+        zs[row] = zs[row] ^ {col}
+    return SupportConstraint(sc.n, sc.k, tuple(zs))
+
+
+def assert_matches_oracle(sc):
+    best, witness, equality = brute_condition(sc)
+    rep = check_condition(sc)
+    assert rep.holds == (best <= sc.k)
+    assert rep.witness == witness
+    assert rep.equality_system == equality
+    assert cover_dimension(sc) == best
+
+
+_property_settings = settings(max_examples=300, deadline=None)
+
+
+@_property_settings
+@given(random_patterns())
+def test_condition_matches_oracle_on_random_patterns(sc):
+    assert_matches_oracle(sc)
+
+
+@_property_settings
+@given(equality_systems())
+def test_condition_matches_oracle_on_equality_systems(sc):
+    assert_matches_oracle(sc)
+    assert check_condition(sc).equality_system
+
+
+@_property_settings
+@given(perturbed_equality_systems())
+def test_condition_matches_oracle_on_perturbed_equality_systems(sc):
+    assert_matches_oracle(sc)
+
+
+def brute_greedy_completion(sc):
+    """The completion's greedy order, each candidate decided by the oracle;
+    None where a row cannot be filled."""
+    zs = [set(z) for z in sc.zero_sets]
+    for i in range(sc.k):
+        for j in range(1, sc.n + 1):
+            if len(zs[i]) == sc.k - 1:
+                break
+            if j in zs[i]:
+                continue
+            zs[i].add(j)
+            if brute_condition(SupportConstraint(sc.n, sc.k, tuple(zs)))[0] > sc.k:
+                zs[i].remove(j)
+        if len(zs[i]) < sc.k - 1:
+            return None
+    return SupportConstraint(sc.n, sc.k, tuple(zs))
+
+
+@_property_settings
+@given(st.one_of(random_patterns(below_k=True), equality_systems(),
+                 perturbed_equality_systems()))
+def test_completion_matches_brute_greedy(sc):
+    assume(brute_condition(sc)[0] <= sc.k and sc.k - 1 <= sc.n)
+    expected = brute_greedy_completion(sc)
+    if expected is None:
+        with pytest.raises(RuntimeError, match="stuck"):
+            complete_zero_sets(sc)
+    else:
+        assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)
