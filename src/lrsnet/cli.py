@@ -15,7 +15,6 @@ import sys
 from . import construct, netsim
 from .constraints import (
     check_condition,
-    cover_dimension,
     parse_pattern,
     suggest_field_params,
 )
@@ -52,7 +51,7 @@ def cmd_check(args) -> int:
         "holds": report.holds,
         "witness": list(report.witness) if report.witness else None,
         "equality_system": report.equality_system,
-        "cover_dim": cover_dimension(sc),
+        "cover_dim": report.cover_dim,
     }
     _emit(doc, args.out)
     return 0 if report.holds else 1
@@ -75,11 +74,10 @@ def cmd_construct(args) -> int:
         print("condition violated; rerun with --subcode for the covering-code rows",
               file=sys.stderr)
         return 1
-    target_dim = cover_dimension(sc)
     if args.q is not None:
         q, m = args.q, args.m
     else:
-        params = suggest_field_params(target_dim, part.ell, part.parts)
+        params = suggest_field_params(report.cover_dim, part.ell, part.parts)
         q, m = params.q, params.m
     pe = prime_power(q)
     if pe is None:
@@ -150,9 +148,8 @@ def cmd_simulate(args) -> int:
     res = DesignResult.from_json(_read(args.design))
     inst = res.instance
     n = res.n
-    row_parts = even_partition(n, inst.ell).parts
     stats = weight_statistics(
-        q=res.q, ell=inst.ell, t=inst.t, row_parts=row_parts,
+        q=res.q, ell=inst.ell, t=inst.t, row_parts=res.parts,
         M=n + res.m, trials=args.trials, seed=args.seed, n=n, rho=inst.rho)
     doc = {
         "design": {"n": n, "k": res.k, "cover_dim": res.cover_dim,

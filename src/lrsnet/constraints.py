@@ -56,6 +56,7 @@ class ConditionReport:
     holds: bool
     witness: tuple | None   # lexicographically least violating row subset
     equality_system: bool   # every subset meets the bound with equality
+    cover_dim: int          # max over nonempty subsets of |intersection| + |subset|
 
 
 def _support(sc: SupportConstraint) -> list:
@@ -145,13 +146,15 @@ def _equality_system(sc: SupportConstraint) -> bool:
 
 
 def check_condition(sc: SupportConstraint) -> ConditionReport:
-    """Decide the condition by matching each Z_i into the other rows (no row
-    need be barred: row i is joined to no column of Z_i); on a violation,
-    report the lexicographically least violating row subset."""
+    """Decide the condition and the cover dimension from one matching of
+    each Z_i into the other rows (no row need be barred: row i is joined to
+    no column of Z_i); on a violation, report the lexicographically least
+    violating row subset."""
     adj = _support(sc)
-    if all(_deficiency(adj, mask, 0) == 0 for mask in sc.masks()):
-        return ConditionReport(True, None, _equality_system(sc))
-    return ConditionReport(False, _least_witness(sc, adj), False)
+    cover_dim = sc.k + max(_deficiency(adj, mask, 0) for mask in sc.masks())
+    if cover_dim == sc.k:
+        return ConditionReport(True, None, _equality_system(sc), cover_dim)
+    return ConditionReport(False, _least_witness(sc, adj), False, cover_dim)
 
 
 def cover_dimension(sc: SupportConstraint) -> int:
@@ -184,17 +187,17 @@ def _add_zero(adj, matchings, i: int, c: int) -> bool:
 def complete_zero_sets(sc: SupportConstraint) -> SupportConstraint:
     """Grow every zero set to size k-1, greedily, preserving the condition.
 
-    Rows are processed in index order and candidate columns in increasing
-    order; a candidate is kept only if the condition still holds, which the
-    per-row matchings of the decision, updated in place, tell.
+    The per-row matchings decide the condition first and are then updated
+    in place: rows are processed in index order and candidate columns in
+    increasing order, and a candidate is kept only if the condition still
+    holds.
     """
-    report = check_condition(sc)
-    if not report.holds:
-        raise ValueError(f"condition violated by rows {report.witness}; cannot complete")
-    if sc.k - 1 > sc.n:
-        raise ValueError(f"rows need {sc.k - 1} zeros but only {sc.n} columns exist")
+    if sc.n < sc.k:
+        raise ValueError(f"a full-rank {sc.k} x {sc.n} generator needs n >= k columns")
     adj = _support(sc)
     matchings = [_matching(adj, mask, 0) for mask in sc.masks()]
+    if any(len(row_of) < len(z) for (row_of, _), z in zip(matchings, sc.zero_sets)):
+        raise ValueError(f"condition violated by rows {_least_witness(sc, adj)}; cannot complete")
     zero_sets = [set(z) for z in sc.zero_sets]
     for i in range(sc.k):
         for j in range(1, sc.n + 1):

@@ -255,18 +255,66 @@ def to_json(cc: ConstrainedCode) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
 def from_json(text: str) -> ConstrainedCode:
+    """Rebuild a serialized code and re-verify it: T must be invertible and
+    the matrix must be the first k rows of T * G_LRS, zero exactly on the
+    stored zero sets.  Every defect raises ValueError."""
     doc = json.loads(text)
-    tower = FieldTower.from_spec(doc["field"])
+    if not isinstance(doc, dict):
+        raise ValueError("code JSON must be an object")
+    missing = [f'"{key}"' for key in ("field", "partition", "k", "cover_dim", "representatives",
+                                      "multipliers", "zero_sets", "attempts", "transform_csv",
+                                      "matrix_csv") if key not in doc]
+    if missing:
+        raise ValueError(f"code JSON lacks {', '.join(missing)}")
+    field = doc["field"]
+    if not (isinstance(field, dict) and all(_is_int(field.get(key)) for key in "pem")
+            and all(_is_int_list(field.get(key)) for key in ("base_modulus", "top_modulus"))):
+        raise ValueError('code field "field" must be an object with integers p, e, m '
+                         "and integer lists base_modulus, top_modulus")
+    for key in ("k", "cover_dim", "attempts"):
+        if not _is_int(doc[key]):
+            raise ValueError(f'code field "{key}" must be an integer')
+    for key in ("partition", "representatives"):
+        if not _is_int_list(doc[key]):
+            raise ValueError(f'code field "{key}" must be a list of integers')
+    for key in ("multipliers", "zero_sets"):
+        if not (isinstance(doc[key], list) and all(map(_is_int_list, doc[key]))):
+            raise ValueError(f'code field "{key}" must be a list of integer lists')
+    for key in ("transform_csv", "matrix_csv"):
+        if not isinstance(doc[key], str):
+            raise ValueError(f'code field "{key}" must be a string')
+    tower = FieldTower.from_spec(field)
+    T, G = _parse_csv_block(doc["transform_csv"]), _parse_csv_block(doc["matrix_csv"])
+    for key, values in (("representatives", doc["representatives"]),
+                        ("multipliers", [x for b in doc["multipliers"] for x in b]),
+                        ("transform_csv", [x for r in T for x in r]),
+                        ("matrix_csv", [x for r in G for x in r])):
+        if any(not 0 <= x < tower.order for x in values):
+            raise ValueError(f'code field "{key}" holds a value outside F_{tower.order}')
     part = OrderedPartition(doc["partition"])
-    code = lrs.make_code(tower, part, doc["cover_dim"],
-                         reps=doc["representatives"],
+    k, ktil = doc["k"], doc["cover_dim"]
+    code = lrs.make_code(tower, part, ktil, reps=doc["representatives"],
                          multipliers=[tuple(b) for b in doc["multipliers"]])
-    sc = SupportConstraint(part.n, doc["k"],
-                           tuple(frozenset(z) for z in doc["zero_sets"]))
-    return ConstrainedCode(
-        code=code, sc=sc,
-        transform=_parse_csv_block(doc["transform_csv"]),
-        matrix=_parse_csv_block(doc["matrix_csv"]),
-        attempts=doc["attempts"],
-        cover_dim=doc["cover_dim"])
+    sc = SupportConstraint(part.n, k, tuple(frozenset(z) for z in doc["zero_sets"]))
+    if len(T) != ktil or any(len(r) != ktil for r in T):
+        raise ValueError(f"transform is not {ktil} x {ktil}")
+    if k > ktil or len(G) != k or any(len(r) != part.n for r in G):
+        raise ValueError(f"matrix is not {k} x {part.n} with k <= cover_dim = {ktil}")
+    if gf.mat_det(tower, T) == 0:
+        raise ValueError("transform is singular")
+    if [list(r) for r in G] != gf.mat_mul(tower, T, lrs.generator_matrix(code))[:k]:
+        raise ValueError("matrix is not the first k rows of transform * LRS generator")
+    mismatches = verify_support(G, sc)
+    if mismatches:
+        raise ValueError(f"matrix does not match the zero sets: {mismatches[:3]}")
+    return ConstrainedCode(code=code, sc=sc, transform=T, matrix=G,
+                           attempts=doc["attempts"], cover_dim=ktil)

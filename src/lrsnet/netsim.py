@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import construct, gf, sumrank
-from .constraints import SupportConstraint, derive_zero_sets, suggest_field_params
+from .constraints import (
+    SupportConstraint,
+    cover_dimension,
+    derive_zero_sets,
+    suggest_field_params,
+)
+from .construct import _is_int, _is_int_list
 from .gf import FieldTower, make_field, prime_power
 from .sumrank import OrderedPartition
 
@@ -30,10 +36,6 @@ class InfeasibleDesign(ValueError):
             f"with demand {demand}; the instance is infeasible")
         self.message_subset = tuple(sorted(message_subset))
         self.demand = demand
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,9 @@ class NetworkInstance:
         for key in ("h", "t", "rho", "ell"):
             if not _is_int(doc[key]):
                 raise ValueError(f'instance field "{key}" must be an integer')
-        if not (isinstance(doc["r"], list) and all(map(_is_int, doc["r"]))):
+        if not _is_int_list(doc["r"]):
             raise ValueError('instance field "r" must be a list of integers')
-        if not (isinstance(doc["S"], list) and all(
-                isinstance(a, list) and all(map(_is_int, a)) for a in doc["S"])):
+        if not (isinstance(doc["S"], list) and all(map(_is_int_list, doc["S"]))):
             raise ValueError('instance field "S" must be a list of integer lists')
         return cls(h=doc["h"], lengths=tuple(doc["r"]),
                    access=tuple(frozenset(a) for a in doc["S"]),
@@ -113,8 +114,8 @@ def _subset_constraints(inst: NetworkInstance):
 
 
 def design_lengths(inst: NetworkInstance):
-    """Minimize the total encoded length under the capacity and zero-pattern
-    subset constraints; depth-first branch and bound with the residual-demand
+    """Minimize the total encoded length under the zero-pattern subset
+    constraints; depth-first branch and bound with the residual-demand
     relaxation, ties broken by the lexicographically smallest tuple."""
     if inst.h > _DESIGN_GUARD or inst.s > _DESIGN_GUARD:
         raise ValueError(f"instance beyond the design guard of {_DESIGN_GUARD}")
@@ -176,32 +177,6 @@ def design_lengths(inst: NetworkInstance):
     return best, target
 
 
-def mincut(inst: NetworkInstance, lengths, subset) -> int:
-    """Min-cut between a message subset and the sink: the total length minus
-    the lengths of sources with no access to the subset."""
-    subset = frozenset(subset)
-    n = sum(lengths)
-    excluded = sum(ln for a, ln in zip(inst.access, lengths) if not (a & subset))
-    return n - excluded
-
-
-def capacity_ok(inst: NetworkInstance, lengths, subset) -> bool:
-    subset = frozenset(subset)
-    rsum = sum(inst.lengths[g - 1] for g in subset)
-    return rsum <= mincut(inst, lengths, subset) - 2 * inst.t - inst.rho
-
-
-def cover_dimension_from_design(inst: NetworkInstance, lengths) -> int:
-    """Dimension of the covering code, from the instance-level subset form."""
-    best = 0
-    for omega_bits in range(1, 1 << inst.h):
-        omega = {g for g in range(1, inst.h + 1) if omega_bits >> (g - 1) & 1}
-        rsum = sum(inst.lengths[g - 1] for g in omega)
-        blocked = sum(ln for a, ln in zip(inst.access, lengths) if not (a & omega))
-        best = max(best, blocked + rsum)
-    return best
-
-
 def even_partition(n: int, ell: int) -> OrderedPartition:
     """Split n into ell near-equal parts with rounded block boundaries."""
     if ell < 1:
@@ -254,37 +229,59 @@ class DesignResult:
             if not _is_int(doc[key]):
                 raise ValueError(f'design field "{key}" must be an integer')
         for key in ("lengths", "parts"):
-            if not (isinstance(doc[key], list) and all(map(_is_int, doc[key]))):
+            if not _is_int_list(doc[key]):
                 raise ValueError(f'design field "{key}" must be a list of integers')
         inst = NetworkInstance.from_json(json.dumps(doc["instance"]))
-        code = construct.from_json(json.dumps(doc["code"])) if doc["code"] else None
-        sc = derive_zero_sets(inst.access, inst.lengths, doc["lengths"])
-        return cls(instance=inst, lengths=tuple(doc["lengths"]), n=doc["n"],
-                   k=doc["k"], cover_dim=doc["cover_dim"], distance=doc["distance"],
-                   q=doc["q"], m=doc["m"], parts=tuple(doc["parts"]),
-                   constraint=sc, code=code)
+        if len(doc["lengths"]) != inst.s or any(x < 0 for x in doc["lengths"]):
+            raise ValueError(f'design field "lengths" must hold {inst.s} nonnegative '
+                             "integers, one per source")
+        res = _sized(inst, doc["lengths"])
+        want = json.loads(res.to_json())
+        for key in ("n", "k", "cover_dim", "distance", "q", "m", "parts"):
+            if doc[key] != want[key]:
+                raise ValueError(f'design field "{key}" is {doc[key]}, but its instance '
+                                 f"and lengths give {want[key]}")
+        if res.distance > res.n - res.cover_dim + 1:
+            raise ValueError("design lengths violate the decoding-capability bound")
+        if doc["code"] is None:
+            return res
+        code = construct.from_json(json.dumps(doc["code"]))
+        tower = code.code.tower
+        if ((code.n, code.sc.k, code.cover_dim, tower.q, tower.m, code.code.part.parts)
+                != (res.n, res.k, res.cover_dim, res.q, res.m, res.parts)):
+            raise ValueError("embedded code does not match the design's n, k, cover_dim, "
+                             "field or parts")
+        if any(not d <= z for d, z in zip(res.constraint.zero_sets, code.sc.zero_sets)):
+            raise ValueError("embedded code lacks a zero the access structure requires")
+        return replace(res, code=code)
+
+
+def _sized(inst: NetworkInstance, lengths) -> DesignResult:
+    """Everything the per-source lengths determine, without a code."""
+    n = sum(lengths)
+    sc = derive_zero_sets(inst.access, inst.lengths, lengths)
+    ktil = cover_dimension(sc)
+    parts = even_partition(n, inst.ell)
+    params = suggest_field_params(ktil, inst.ell, parts.parts)
+    return DesignResult(
+        instance=inst, lengths=tuple(lengths), n=n, k=inst.k, cover_dim=ktil,
+        distance=2 * inst.ell * inst.t + inst.rho + 1,
+        q=params.q, m=params.m, parts=parts.parts, constraint=sc, code=None)
 
 
 def build_distributed_code(inst: NetworkInstance, seed: int = 0,
                            build_code: bool = True) -> DesignResult:
     """Full design pipeline; set build_code=False to stop after the sizing
     stage."""
-    lengths, n = design_lengths(inst)
-    sc = derive_zero_sets(inst.access, inst.lengths, lengths)
-    ktil = cover_dimension_from_design(inst, lengths)
-    if ktil > n - 2 * inst.ell * inst.t - inst.rho:
+    res = _sized(inst, design_lengths(inst)[0])
+    if res.distance > res.n - res.cover_dim + 1:
         raise AssertionError("design violates the decoding-capability bound")
-    parts = even_partition(n, inst.ell)
-    params = suggest_field_params(ktil, inst.ell, parts.parts)
-    code = None
-    if build_code:
-        p, e = prime_power(params.q)
-        tower = make_field(p, e, params.m)
-        code = construct.subcode_generator(tower, parts, inst.k, sc, seed=seed)
-    return DesignResult(
-        instance=inst, lengths=lengths, n=n, k=inst.k, cover_dim=ktil,
-        distance=2 * inst.ell * inst.t + inst.rho + 1,
-        q=params.q, m=params.m, parts=parts.parts, constraint=sc, code=code)
+    if not build_code:
+        return res
+    tower = make_field(*prime_power(res.q), res.m)
+    code = construct.subcode_generator(tower, OrderedPartition(res.parts), inst.k,
+                                       res.constraint, seed=seed)
+    return replace(res, code=code)
 
 
 # ----------------------------------------------------------------------

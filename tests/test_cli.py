@@ -1,11 +1,18 @@
 """Command-line behavior: exit codes, reports, determinism."""
 
+import copy
 import json
 
 import pytest
 
 from lrsnet.cli import main
-from lrsnet.constraints import derive_zero_sets, format_pattern
+from lrsnet.constraints import (
+    cover_dimension,
+    derive_zero_sets,
+    format_pattern,
+    suggest_field_params,
+)
+from lrsnet.netsim import NetworkInstance, build_distributed_code, even_partition
 
 TOY_JSON = json.dumps({
     "h": 4, "r": [1, 3, 2, 3],
@@ -317,6 +324,121 @@ def test_simulate_design_not_an_object_exit_code(tmp_path, capsys):
     rc = main(["simulate", str(path)])
     assert rc == 2
     assert "object" in capsys.readouterr().err
+
+
+def _simulate_rejects(doc, tmp_path, capsys, message):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", str(path), "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n", 40, '"n" is 40'), ("k", 10, '"k" is 10'), ("cover_dim", 10, '"cover_dim" is 10'),
+    ("distance", 16, '"distance" is 16'), ("parts", [8, 8, 7], '"parts"'), ("q", 5, '"q" is 5'),
+    ("m", 11, '"m" is 11'), ("lengths", [2, 7, 6, 9], '"n" is 23'),
+    ("lengths", [2, 7, 14], '"lengths"'), ("lengths", [2, 7, 16, -2], '"lengths"'),
+], ids=["n", "k", "cover_dim", "distance", "parts", "q", "m", "lengths-sum",
+        "lengths-count", "lengths-negative"])
+def test_simulate_rejects_tampered_design(key, value, message, toy_design_doc, tmp_path,
+                                          capsys):
+    toy_design_doc[key] = value
+    _simulate_rejects(toy_design_doc, tmp_path, capsys, message)
+
+
+def test_simulate_rejects_design_beyond_decoding_bound(toy_design_doc, tmp_path, capsys):
+    # one source carries everything, so message 4's rows vanish on every
+    # column: every derived field is made consistent, only the bound fails
+    inst = NetworkInstance.from_json(TOY_JSON)
+    lengths = [23, 0, 0, 0]
+    ktil = cover_dimension(derive_zero_sets(inst.access, inst.lengths, lengths))
+    parts = even_partition(23, 3).parts
+    params = suggest_field_params(ktil, 3, parts)
+    toy_design_doc.update(lengths=lengths, cover_dim=ktil, parts=list(parts),
+                          q=params.q, m=params.m)
+    _simulate_rejects(toy_design_doc, tmp_path, capsys, "decoding-capability bound")
+
+
+@pytest.fixture(scope="module")
+def toy_built_design():
+    return json.loads(build_distributed_code(NetworkInstance.from_json(TOY_JSON)).to_json())
+
+
+def _rows(csv):
+    return [line.split(",") for line in csv.split("\n")]
+
+
+def _csv(rows):
+    return "\n".join(",".join(row) for row in rows)
+
+
+def _nonzero_in_zero(code):
+    rows = _rows(code["matrix_csv"])
+    rows[0][code["zero_sets"][0][0] - 1] = "1"
+    code["matrix_csv"] = _csv(rows)
+
+
+def _singular_transform(code):
+    rows = _rows(code["transform_csv"])
+    rows[-1] = rows[0]
+    code["transform_csv"] = _csv(rows)
+
+
+def _short_matrix(code):
+    code["matrix_csv"] = _csv(_rows(code["matrix_csv"])[:-1])
+
+
+def _outside_field(code):
+    rows = _rows(code["matrix_csv"])
+    rows[0][0] = str(4 ** 10)
+    code["matrix_csv"] = _csv(rows)
+
+
+def _dropped_zero(code):
+    code["zero_sets"][0] = code["zero_sets"][0][1:]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda code: code.update(field="x"), '"field"'),
+    (lambda code: code.pop("multipliers"), '"multipliers"'),
+    (lambda code: code.update(k="9"), '"k"'),
+    (_nonzero_in_zero, "first k rows"),
+    (_singular_transform, "singular"),
+    (_short_matrix, "9 x 23"),
+    (_outside_field, "outside"),
+    (_dropped_zero, "zero sets"),
+], ids=["field-str", "no-multipliers", "k-str", "nonzero-in-zero", "singular-transform",
+        "short-matrix", "outside-field", "dropped-zero"])
+def test_simulate_rejects_tampered_code(tamper, message, toy_built_design, tmp_path, capsys):
+    doc = copy.deepcopy(toy_built_design)
+    tamper(doc["code"])
+    _simulate_rejects(doc, tmp_path, capsys, message)
+
+
+def test_simulate_rejects_code_of_another_design(toy_built_design, tmp_path, capsys):
+    pattern = tmp_path / "micro.pattern"
+    pattern.write_text("2\n1\n")
+    code_path = tmp_path / "code.json"
+    assert main(["construct", str(pattern), "--n", "4", "--parts", "2,2", "--q", "3",
+                 "--m", "2", "--out", str(code_path)]) == 0
+    capsys.readouterr()
+    doc = copy.deepcopy(toy_built_design)
+    doc["code"] = json.loads(code_path.read_text())
+    _simulate_rejects(doc, tmp_path, capsys, "does not match the design")
+
+
+def test_simulate_rejects_code_missing_a_derived_zero(toy_built_design, tmp_path, capsys):
+    # swapping the first two sources (and their lengths) keeps n, k, cover_dim,
+    # field and parts but moves the columns message 3 must vanish on
+    doc = copy.deepcopy(toy_built_design)
+    s = doc["instance"]["S"]
+    s[0], s[1] = s[1], s[0]
+    lengths = doc["lengths"]
+    lengths[0], lengths[1] = lengths[1], lengths[0]
+    _simulate_rejects(doc, tmp_path, capsys, "lacks a zero")
 
 
 def test_simulate_deterministic(toy_instance, tmp_path, capsys):

@@ -46,7 +46,7 @@ def brute_condition(sc):
 def test_two_swapped_singletons_hold_with_equality():
     sc = SupportConstraint(2, 2, ({2}, {1}))
     rep = check_condition(sc)
-    assert rep == ConditionReport(True, None, True)
+    assert rep == ConditionReport(True, None, True, 2)
 
 
 def test_repeated_singleton_violates():
@@ -144,6 +144,12 @@ def test_completion_requires_enough_columns():
     sc = SupportConstraint(2, 4, (frozenset(),) * 4)
     with pytest.raises(ValueError, match="columns"):
         complete_zero_sets(sc)
+    # k = 3 rows fit their k - 1 = 2 zeros into n = 2 columns and hold the
+    # condition, but no full-rank 3 x 2 generator exists
+    sc = SupportConstraint(2, 3, (frozenset(), {1}, {2}))
+    assert check_condition(sc).holds
+    with pytest.raises(ValueError, match="n >= k"):
+        complete_zero_sets(sc)
 
 
 def test_derive_toy_pattern():
@@ -214,7 +220,7 @@ def test_pattern_parse_errors():
 
 def test_all_empty_k25_holds():
     sc = SupportConstraint(30, 25, (frozenset(),) * 25)
-    assert check_condition(sc) == ConditionReport(True, None, False)
+    assert check_condition(sc) == ConditionReport(True, None, False, 25)
     assert cover_dimension(sc) == 25
 
 
@@ -224,7 +230,7 @@ def test_planted_patterns_at_large_k():
     universe = rng.sample(range(1, n + 1), k)
     missing = rng.sample(universe, k)
     eq = SupportConstraint(n, k, tuple(frozenset(universe) - {c} for c in missing))
-    assert check_condition(eq) == ConditionReport(True, None, True)
+    assert check_condition(eq) == ConditionReport(True, None, True, k)
     assert cover_dimension(eq) == k
     assert complete_zero_sets(eq) == eq
     # rows 5, 17, 40 share k - 2 zero columns, every other row has at most 3
@@ -235,7 +241,7 @@ def test_planted_patterns_at_large_k():
     for row in (5, 17, 40):
         zs[row - 1] = frozenset(common)
     bad = SupportConstraint(n, k, tuple(zs))
-    assert check_condition(bad) == ConditionReport(False, (5, 17, 40), False)
+    assert check_condition(bad) == ConditionReport(False, (5, 17, 40), False, k + 1)
     assert cover_dimension(bad) == k + 1
     with pytest.raises(ValueError, match=r"\(5, 17, 40\)"):
         complete_zero_sets(bad)
@@ -247,7 +253,7 @@ def test_completion_of_empty_square_pattern_is_equality_system():
     k = 64
     done = complete_zero_sets(SupportConstraint(k, k, (frozenset(),) * k))
     assert all(len(z) == k - 1 for z in done.zero_sets)
-    assert check_condition(done) == ConditionReport(True, None, True)
+    assert check_condition(done) == ConditionReport(True, None, True, k)
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +301,7 @@ def assert_matches_oracle(sc):
     assert rep.holds == (best <= sc.k)
     assert rep.witness == witness
     assert rep.equality_system == equality
+    assert rep.cover_dim == best
     assert cover_dimension(sc) == best
 
 
@@ -342,10 +349,11 @@ def brute_greedy_completion(sc):
 @given(st.one_of(random_patterns(below_k=True), equality_systems(),
                  perturbed_equality_systems()))
 def test_completion_matches_brute_greedy(sc):
-    assume(brute_condition(sc)[0] <= sc.k and sc.k - 1 <= sc.n)
-    expected = brute_greedy_completion(sc)
-    if expected is None:
-        with pytest.raises(RuntimeError, match="stuck"):
+    assume(brute_condition(sc)[0] <= sc.k)
+    if sc.n < sc.k:
+        with pytest.raises(ValueError, match="n >= k"):
             complete_zero_sets(sc)
-    else:
-        assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)
+        return
+    expected = brute_greedy_completion(sc)
+    assert expected is not None  # with n >= k the greedy never gets stuck
+    assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)

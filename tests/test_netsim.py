@@ -1,4 +1,4 @@
-"""Design ILP, min-cuts, distributed code assembly, lifting and the channel."""
+"""Design ILP, distributed code assembly, lifting and the channel."""
 
 import itertools
 import random
@@ -15,13 +15,10 @@ from lrsnet.netsim import (
     NetworkInstance,
     audit_weights,
     build_distributed_code,
-    capacity_ok,
-    cover_dimension_from_design,
     design_lengths,
     end_to_end_trial,
     even_partition,
     lift,
-    mincut,
     puncture,
     random_error_of_weight,
     sample_channel,
@@ -50,6 +47,20 @@ def recheck_constraints(inst, lengths):
             if excluded + rsum > n - 2 * inst.ell * inst.t - inst.rho:
                 return False
     return True
+
+
+def cover_dimension_from_design(inst, lengths):
+    """Oracle: the cover dimension in its instance-level subset form, the
+    most blocked length plus message length over all 2^h - 1 message
+    subsets."""
+    best = 0
+    for size in range(1, inst.h + 1):
+        for omega in itertools.combinations(range(1, inst.h + 1), size):
+            omega = set(omega)
+            rsum = sum(inst.lengths[g - 1] for g in omega)
+            blocked = sum(ln for a, ln in zip(inst.access, lengths) if not (a & omega))
+            best = max(best, blocked + rsum)
+    return best
 
 
 def test_toy_design_optimum():
@@ -120,19 +131,9 @@ def test_design_lex_tie_break():
     assert lengths == min(feasible)
 
 
-def test_mincut_values():
-    assert mincut(TOY, PAPER_TUPLE, {1}) == 23 - 8 == 15
-    assert capacity_ok(TOY, PAPER_TUPLE, {1})
-    assert mincut(TOY, PAPER_TUPLE, set(range(1, 5))) == 23
-    # subsets touching every source leave the cut at n
-    assert mincut(TOY, PAPER_TUPLE, {1, 2}) == 23
-
-
 def test_designed_lengths_meet_every_capacity():
     lengths, n = design_lengths(TOY)
-    for size in range(1, 5):
-        for subset in itertools.combinations(range(1, 5), size):
-            assert capacity_ok(TOY, lengths, set(subset))
+    assert recheck_constraints(TOY, lengths)
     res = build_distributed_code(TOY, build_code=False)
     assert res.distance <= res.n - res.cover_dim + 1
 
@@ -142,6 +143,28 @@ def test_cover_dimension_from_design_matches_row_level():
         sc = derive_zero_sets(TOY.access, TOY.lengths, lengths)
         assert cover_dimension_from_design(TOY, lengths) == cover_dimension(sc)
     assert cover_dimension_from_design(TOY, PAPER_TUPLE) == 9
+
+
+def test_built_cover_dimension_matches_subset_oracle():
+    rng = random.Random(5)
+    empty_access = zero_length = False
+    for _ in range(600):
+        h, s = rng.randrange(1, 7), rng.randrange(1, 7)
+        access = [frozenset(rng.sample(range(1, h + 1), rng.randrange(0, h + 1)))
+                  for _ in range(s)]
+        for g in range(1, h + 1):
+            if not any(g in a for a in access):
+                j = rng.randrange(s)
+                access[j] = access[j] | {g}
+        r = tuple(rng.randrange(1, 4) for _ in range(h))
+        # n >= k, so ell <= k leaves every block a symbol
+        inst = NetworkInstance(h=h, lengths=r, access=tuple(access), t=rng.randrange(0, 2),
+                               rho=rng.randrange(0, 2), ell=rng.randrange(1, min(2, sum(r)) + 1))
+        res = build_distributed_code(inst, build_code=False)
+        assert res.cover_dim == cover_dimension_from_design(inst, res.lengths)
+        empty_access |= frozenset() in inst.access
+        zero_length |= 0 in res.lengths
+    assert empty_access and zero_length
 
 
 def test_even_partition_boundaries():
