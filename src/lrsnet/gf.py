@@ -145,6 +145,8 @@ class FieldTower:
         if self.order <= _SCALAR_TABLE_MAX:
             self._build_scalar_tables()
         self._np_tables = None
+        self._base_np = None
+        self._digits_np = None
         self._ordered_basis = tuple(self.q ** i for i in range(m)) if m >= 2 else (1,)
 
     # ------------------------------------------------------------------
@@ -455,17 +457,33 @@ class FieldTower:
         B = np.asarray(B, dtype=np.int64)
         if self.e == 1:
             return (A @ B) % self.p
-        add_t, mul_t = self._base_numpy_tables()
+        add_t, mul_t, _, _ = self._base_numpy_tables()
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for t in range(A.shape[1]):
             out = add_t[out, mul_t[A[:, t][:, None], B[t, :][None, :]]]
         return out
 
     def _base_numpy_tables(self):
-        if not hasattr(self, "_base_np"):
-            mul = np.array(self._base_mul_tab, dtype=np.int64)
-            self._base_np = (_digitwise_add_table(self.p, self.e), mul)
+        """(add, mul, neg, inv) over F_q: q x q tables and length-q vectors,
+        with inv[0] = 0."""
+        if self._base_np is None:
+            q = self.q
+            add = _digitwise_add_table(self.p, self.e)
+            if self.e == 1:
+                mul = np.multiply.outer(np.arange(q), np.arange(q)) % q
+            else:
+                mul = np.array(self._base_mul_tab, dtype=np.int64)
+            neg = (add == 0).argmax(axis=1)
+            inv = (mul == 1).argmax(axis=1)  # row 0 holds no 1, so inv[0] = 0
+            self._base_np = (add, mul, neg, inv)
         return self._base_np
+
+    def _digit_table(self):
+        """m x order array whose row i holds base-q digit i of every element."""
+        if self._digits_np is None:
+            powers = self.q ** np.arange(self.m, dtype=np.int64)[:, None]
+            self._digits_np = np.arange(self.order, dtype=np.int64) // powers % self.q
+        return self._digits_np
 
     # ------------------------------------------------------------------
     # conjugacy structure

@@ -128,8 +128,10 @@ def design_lengths(inst: NetworkInstance):
         demands[cover] = max(demands.get(cover, 0), demand)
     packed = sorted(demands.items())
     s = inst.s
-    cap = inst.k + 2 * inst.ell * inst.t + inst.rho  # dominating per-source cap
-    lower = max(d for _, d in packed)
+    # no demand exceeds k + 2*ell*t + rho, so no optimum needs a longer
+    # source unless the ell blocks alone force n up to ell
+    cap = max(inst.k + 2 * inst.ell * inst.t + inst.rho, inst.ell)
+    lower = max(max(d for _, d in packed), inst.ell)  # n >= ell blocks
 
     best = None
 

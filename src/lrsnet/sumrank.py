@@ -4,6 +4,13 @@ The sum-rank weight of a vector over F_{q^m} splits the coordinates into
 ordered blocks and sums the F_q-rank of each block's basis expansion.  With
 one block it is the rank metric, with all blocks of size one the Hamming
 metric.
+
+Brute force runs on the numpy add/mul tables of F_{q^m} behind one guard,
+`enumerable`: q^m <= 512 and (q^m)^k <= 2^22 messages.  The minimum distance
+enumerates one message per line of F_{q^m}^k, the one whose highest nonzero
+coordinate is 1, because nonzero scalars keep the weight; decoding
+enumerates all (q^m)^k messages.  Block ranks come from one Gaussian
+elimination over F_q run on a whole batch of blocks at once.
 """
 
 from __future__ import annotations
@@ -139,14 +146,15 @@ def _check_guard(tower, k):
             f"(q^m)^k <= {_BRUTE_FORCE_MAX}; got q^m = {tower.order}, k = {k}")
 
 
-def _codeword_chunks(tower, add, mul, G, start):
+def _codeword_chunks(tower, add, mul, G, start, stop=None):
     """Yield (message indices, codeword array) chunk by chunk over messages
-    start, start + 1, ..., (q^m)^k - 1; digit i of an index in base q^m is
-    coordinate i of its message."""
-    order, k, n = tower.order, len(G), len(G[0])
-    total = order ** k
-    for lo in range(start, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+    start, start + 1, ..., stop - 1 (default (q^m)^k - 1); digit i of an
+    index in base q^m is coordinate i of its message."""
+    order, n = tower.order, len(G[0])
+    if stop is None:
+        stop = order ** len(G)
+    for lo in range(start, stop, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
         cw = np.zeros((idx.shape[0], n), dtype=np.int64)
         for i, gi in enumerate(G):
             di = (idx // order ** i) % order
@@ -156,8 +164,18 @@ def _codeword_chunks(tower, add, mul, G, start):
         yield idx, cw
 
 
+def _projective_ranges(order, k):
+    """(start, stop) index ranges of the messages whose highest nonzero
+    coordinate is 1: one representative of each line of F_{q^m}^k."""
+    return [(order ** p, 2 * order ** p) for p in range(k)]
+
+
 def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int:
-    """Minimum sum-rank weight over all nonzero messages of msg * G."""
+    """Minimum sum-rank weight of msg * G over nonzero messages.
+
+    Weights do not change under nonzero F_{q^m} scalars, so only one
+    message per line, the one whose highest nonzero coordinate is 1, is
+    enumerated."""
     k = len(G)
     _check_guard(tower, k)
     if len(G[0]) != part.n:
@@ -166,40 +184,39 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
         return 0  # some nonzero message encodes to the zero word
     add, mul = tower.numpy_tables()
     best = part.n
-    for _, cw in _codeword_chunks(tower, add, mul, G, 1):
-        best = min(best, int(_batch_weights(tower, add, mul, cw, part).min()))
-        if best <= 1:
-            break
+    for start, stop in _projective_ranges(tower.order, k):
+        for _, cw in _codeword_chunks(tower, add, mul, G, start, stop):
+            best = min(best, int(_batch_weights(tower, add, mul, cw, part).min()))
+            if best <= 1:
+                return best
     return best
 
 
 def _block_ranks(tower, add, mul, block):
-    """Vector of F_q-ranks for a batch of blocks, via span cardinality.
+    """Vector of F_q-ranks of the base-field expansions of a B x s batch of
+    blocks, by one Gaussian elimination run on all B matrices at once.
 
-    The rank of the expansion of (c_1..c_s) equals log_q of the number of
-    distinct F_q-combinations sum a_t c_t.
+    Row t of a block's s x m expansion is the digit vector of element t, so
+    the rows stay element encodings and a row operation is one lookup in
+    the F_{q^m} tables.  Step `col` picks, per block, the first row with a
+    nonzero digit `col` and subtracts F_q-multiples of it from every row.
+    That clears the digit in all rows, the pivot row included, so each
+    pivot found adds one to the rank.
     """
-    q = tower.q
-    B, s = block.shape
-    combos = np.zeros((B, q ** s), dtype=np.int64)
-    for idx in range(1, q ** s):
-        v = idx
-        acc = np.zeros(B, dtype=np.int64)
-        for t in range(s):
-            a = v % q
-            v //= q
-            if a:
-                acc = add[acc, mul[a, block[:, t]]]
-        combos[:, idx] = acc
-    combos.sort(axis=1)
-    distinct = 1 + (combos[:, 1:] != combos[:, :-1]).sum(axis=1)
-    ranks = np.zeros(B, dtype=np.int64)
-    size = 1
-    r = 0
-    while size < q ** s + 1:
-        ranks[distinct == size] = r
-        size *= q
-        r += 1
+    add, mul = add.ravel(), mul.ravel()
+    _, bmul, neg, inv = tower._base_numpy_tables()
+    digits = tower._digit_table()
+    order = tower.order
+    rows = np.arange(block.shape[0])
+    ranks = np.zeros(block.shape[0], dtype=np.int64)
+    for col in range(tower.m):
+        lead = digits[col][block]
+        piv = (lead != 0).argmax(axis=1)
+        pval = lead[rows, piv]
+        ranks += pval != 0
+        if col < tower.m - 1:
+            coef = neg[bmul[lead, inv[pval][:, None]]]  # zero where no pivot
+            block = add[block * order + mul[coef * order + block[rows, piv][:, None]]]
     return ranks
 
 

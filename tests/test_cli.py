@@ -185,6 +185,21 @@ def test_design_unreachable_message(tmp_path, capsys):
     assert "message 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"h": 1, "r": [1], "S": [[1]], "t": 0, "rho": 0, "ell": 2},
+    {"h": 2, "r": [1, 1], "S": [[1, 2]], "t": 0, "rho": 0, "ell": 3},
+], ids=["h1-ell2", "h2-ell3"])
+def test_design_pads_to_one_symbol_per_block(doc, tmp_path, capsys):
+    # the demands alone ask for fewer symbols than blocks
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["design", str(path), "--build"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["n"] == sum(out["lengths"]) == doc["ell"]
+    assert out["parts"] == [1] * doc["ell"]
+
+
 def test_simulate_no_adversary_recovers(tmp_path, capsys):
     # micro instance with t = rho = 0: every decode trial must succeed
     doc = {"h": 2, "r": [1, 1], "S": [[1, 2], [1, 2]], "t": 0, "rho": 0, "ell": 2}

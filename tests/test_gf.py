@@ -292,6 +292,29 @@ def test_numpy_tables_consistency():
             assert mul[a, b] == F9.mul(a, b)
 
 
+@pytest.mark.parametrize("pem", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 1)],
+                         ids=["F2", "F3", "F4", "F5", "F9"])
+def test_base_numpy_tables_match_scalar_ops(pem):
+    tower = make_field(*pem)
+    add, mul, neg, inv = tower._base_numpy_tables()
+    q = tower.q
+    assert add.shape == mul.shape == (q, q) and neg.shape == inv.shape == (q,)
+    for a in range(q):
+        assert neg[a] == tower.base_neg(a)
+        assert inv[a] == (tower.base_inv(a) if a else 0)
+        for b in range(q):
+            assert add[a, b] == tower.base_add(a, b)
+            assert mul[a, b] == tower.base_mul(a, b)
+
+
+def test_digit_table_matches_digits():
+    for tower in (make_field(3, 1, 3), make_field(2, 2, 2), make_field(3, 2, 1)):
+        table = tower._digit_table()
+        assert table.shape == (tower.m, tower.order)
+        for a in range(tower.order):
+            assert list(table[:, a]) == tower.digits(a)
+
+
 def test_class_enumeration_guard():
     tower = make_field(2, 1, 21)  # order 2^21, just past the guard
     with pytest.raises(ValueError, match="guard"):

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,6 +302,61 @@ def test_decode_matches_oracle(tower, data):
         assert (res.status, res.message, res.distance) == (AMBIGUOUS, None, best)
     else:
         assert (res.status, res.message, res.distance) == (NO_CODEWORD, None, best)
+
+
+RANK_TOWERS = [F9, make_field(2, 2, 2), make_field(3, 1, 3), make_field(3, 1, 4),
+               make_field(2, 1, 9)]
+_rank_ids = ["F9", "F16", "F27", "F81", "F512"]
+
+
+@st.composite
+def _blocks(draw, tower):
+    """A batch of blocks of one width in 1..m+2; columns are drawn at random,
+    left zero, or copied from an earlier column times an F_q or F_{q^m}
+    scalar, so dependent and rank-deficient blocks are common."""
+    s = draw(st.integers(1, tower.m + 2))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        cols = []
+        for t in range(s):
+            kind = draw(st.sampled_from(["random", "zero", "copy"] if t else ["random", "zero"]))
+            if kind == "random":
+                cols.append(draw(st.integers(0, tower.order - 1)))
+            elif kind == "zero":
+                cols.append(0)
+            else:
+                c = draw(st.integers(0, tower.q - 1) | st.integers(0, tower.order - 1))
+                cols.append(tower.mul(c, cols[draw(st.integers(0, t - 1))]))
+        batch.append(cols)
+    return batch
+
+
+@pytest.mark.parametrize("tower", RANK_TOWERS, ids=_rank_ids)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_ranks_match_elimination(tower, data):
+    batch = data.draw(_blocks(tower))
+    add, mul = tower.numpy_tables()
+    ranks = sumrank._block_ranks(tower, add, mul, np.array(batch, dtype=np.int64))
+    assert list(ranks) == [tower.rank_over_base(block) for block in batch]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_projective_ranges_hold_one_message_per_line(k):
+    Q = F9.order
+    ranges = sumrank._projective_ranges(Q, k)
+    reps = [i for a, b in ranges for i in range(a, b)]
+    assert len(reps) == len(set(reps)) == (Q ** k - 1) // (Q - 1)
+
+    def digits(i):
+        return [(i // Q ** t) % Q for t in range(k)]
+
+    for i in reps:
+        nonzero = [d for d in digits(i) if d]
+        assert nonzero[-1] == 1  # the highest nonzero coordinate is 1
+    multiples = [tuple(F9.mul(c, d) for d in digits(i)) for i in reps for c in range(1, Q)]
+    # every nonzero message is a nonzero multiple of exactly one representative
+    assert sorted(multiples) == sorted(tuple(digits(i)) for i in range(1, Q ** k))
 
 
 def test_min_distance_matches_oracle_on_seeded_f9_codes():
