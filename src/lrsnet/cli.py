@@ -2,8 +2,8 @@
 channel simulation and table sweeps.
 
 Exit codes: 0 on success (condition holds / build succeeded), 1 when a
-condition or feasibility check fails, 2 on usage or parse errors.  Every run
-is reproducible from its arguments and --seed; reports embed both.
+condition check fails or synthesis gives up, 2 on usage or parse errors.
+Every run is reproducible from its arguments and --seed; reports embed both.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import construct, netsim
 from .constraints import (
@@ -105,8 +106,7 @@ def cmd_construct(args) -> int:
 def cmd_design(args) -> int:
     inst = NetworkInstance.from_json(_read(args.instance))
     if args.ell is not None:
-        inst = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
-                               t=inst.t, rho=inst.rho, ell=args.ell)
+        inst = replace(inst, ell=args.ell)
     res = build_distributed_code(inst, seed=args.seed, build_code=args.build)
     text = res.to_json()
     if args.out:
@@ -122,9 +122,7 @@ def cmd_tables(args) -> int:
     inst = NetworkInstance.from_json(_read(args.instance))
     rows = []
     for ell in range(1, args.lmax + 1):
-        swept = NetworkInstance(h=inst.h, lengths=inst.lengths, access=inst.access,
-                                t=inst.t, rho=inst.rho, ell=ell)
-        res = build_distributed_code(swept, seed=args.seed, build_code=False)
+        res = build_distributed_code(replace(inst, ell=ell), seed=args.seed, build_code=False)
         rows.append({
             "ell": ell, "q": res.q, "m": res.m,
             "n": res.n, "cover_dim": res.cover_dim, "distance": res.distance,
@@ -231,13 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except construct.ConditionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except netsim.InfeasibleDesign as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except construct.SynthesisError as exc:
+    except (construct.ConditionViolation, construct.SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -59,6 +59,11 @@ class ConditionReport:
     cover_dim: int          # max over nonempty subsets of |intersection| + |subset|
 
 
+def _require_columns(k: int, n: int):
+    if n < k:
+        raise ValueError(f"a full-rank {k} x {n} generator needs n >= k columns")
+
+
 def _support(sc: SupportConstraint) -> list:
     """adj[c]: bitmask of the rows whose zero set misses 0-based column c."""
     adj = [(1 << sc.k) - 1] * sc.n
@@ -192,8 +197,7 @@ def complete_zero_sets(sc: SupportConstraint) -> SupportConstraint:
     increasing order, and a candidate is kept only if the condition still
     holds.
     """
-    if sc.n < sc.k:
-        raise ValueError(f"a full-rank {sc.k} x {sc.n} generator needs n >= k columns")
+    _require_columns(sc.k, sc.n)
     adj = _support(sc)
     matchings = [_matching(adj, mask, 0) for mask in sc.masks()]
     if any(len(row_of) < len(z) for (row_of, _), z in zip(matchings, sc.zero_sets)):
@@ -306,6 +310,7 @@ def parse_pattern(text: str, n: int) -> SupportConstraint:
         zero_sets.append(cols)
     if not zero_sets:
         raise ValueError("pattern file holds no rows")
+    _require_columns(len(zero_sets), n)
     return SupportConstraint(n, len(zero_sets), tuple(zero_sets))
 
 

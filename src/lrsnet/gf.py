@@ -132,9 +132,8 @@ class FieldTower:
         else:
             self.top_modulus = self._find_top_modulus()
 
-        # reduction row: y^m = -(low part of modulus)
-        self._red = tuple(self.base_neg(c) for c in self.top_modulus[:m])
-        self.gamma = self.q if m >= 2 else self._red[0]
+        # for m = 1, y is the root -f_0 of y + f_0
+        self.gamma = self.q if m >= 2 else self.base_neg(self.top_modulus[0])
         if self._p2 and e == 1:
             self._mod_int = sum(c << i for i, c in enumerate(self.top_modulus))
         else:
@@ -147,7 +146,6 @@ class FieldTower:
         self._np_tables = None
         self._base_np = None
         self._digits_np = None
-        self._ordered_basis = tuple(self.q ** i for i in range(m)) if m >= 2 else (1,)
 
     # ------------------------------------------------------------------
     # base field F_q = F_p[x]/(g)
@@ -194,8 +192,9 @@ class FieldTower:
         self._base_inv_tab = inv
 
     # For e = 1 the one-digit case stays inline: base_add runs per digit
-    # product in `mul` on fields without log tables, base_neg per entry of an
-    # F_p elimination, and a helper call made `mul` in F_{5^10} ~14% slower.
+    # product and base_sub per reduction step of `_qpoly_mulmod`, which `mul`
+    # runs on fields without log tables, base_sub also per entry of an F_q
+    # elimination, and a helper call made `mul` in F_{5^10} ~14% slower.
     def base_add(self, a: int, b: int) -> int:
         if self._p2:
             return a ^ b
@@ -208,10 +207,14 @@ class FieldTower:
             return a
         if self.e == 1:
             return -a % self.p
-        return _digitwise_mod_neg(a, self.p, self.e)
+        return _digitwise_mod_sub(0, a, self.p, self.e)
 
     def base_sub(self, a: int, b: int) -> int:
-        return self.base_add(a, self.base_neg(b))
+        if self._p2:
+            return a ^ b
+        if self.e == 1:
+            return (a - b) % self.p
+        return _digitwise_mod_sub(a, b, self.p, self.e)
 
     def base_mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -352,7 +355,7 @@ class FieldTower:
     def neg(self, a: int) -> int:
         if self._p2:
             return a
-        return _digitwise_mod_neg(a, self.p, self._ndigits)
+        return _digitwise_mod_sub(0, a, self.p, self._ndigits)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -364,24 +367,8 @@ class FieldTower:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         if self._mod_int is not None:
             return _clmul_mod(a, b, self._mod_int, self.m)
-        da = _int_digits(a, self.q, self.m)
-        db = _int_digits(b, self.q, self.m)
-        res = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y:
-                    res[i + j] = self.base_add(res[i + j], self.base_mul(x, y))
-        # reduce by y^m = red
-        for i in range(2 * self.m - 2, self.m - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j, rc in enumerate(self._red):
-                    if rc:
-                        res[i - self.m + j] = self.base_add(res[i - self.m + j], self.base_mul(c, rc))
-        return _digits_int(res[: self.m], self.q)
+        return _digits_int(self._qpoly_mulmod(self.digits(a), self.digits(b), self.top_modulus),
+                           self.q)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -436,7 +423,8 @@ class FieldTower:
         return np.array(cols, dtype=np.int64).T.reshape(self.m, len(cols))
 
     def rank_over_base(self, vec) -> int:
-        return self.base_matrix_rank(self.expand(vec))
+        # the rank of expand(vec), taken on its transpose
+        return self.base_matrix_rank([self.digits(v) for v in vec])
 
     def linearly_independent_over_base(self, elems) -> bool:
         elems = list(elems)
@@ -709,9 +697,16 @@ def _digitwise_mod_add(a: int, b: int, p: int, length: int) -> int:
     return out
 
 
-def _digitwise_mod_neg(a: int, p: int, length: int) -> int:
-    """Negation in F_p^length of an encoding read as `length` base-p digits."""
-    return _digits_int([-d % p for d in _int_digits(a, p, length)], p)
+def _digitwise_mod_sub(a: int, b: int, p: int, length: int) -> int:
+    """Difference in F_p^length of two encodings read as `length` base-p digits."""
+    out = 0
+    shift = 1
+    for _ in range(length):
+        out += ((a - b) % p) * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
 
 
 def _digitwise_add_table(p: int, length: int) -> np.ndarray:

@@ -29,15 +29,6 @@ from .sumrank import OrderedPartition
 _DESIGN_GUARD = 10  # max messages and max sources for the subset constraints
 
 
-class InfeasibleDesign(ValueError):
-    def __init__(self, message_subset, demand):
-        super().__init__(
-            f"no source covers message subset {sorted(message_subset)} "
-            f"with demand {demand}; the instance is infeasible")
-        self.message_subset = tuple(sorted(message_subset))
-        self.demand = demand
-
-
 @dataclass(frozen=True)
 class NetworkInstance:
     h: int                 # number of messages
@@ -99,7 +90,7 @@ class NetworkInstance:
 
 
 def _subset_constraints(inst: NetworkInstance):
-    """(source cover mask, zero-pattern demand, message subset) per subset."""
+    """(source cover mask, zero-pattern demand) per nonempty message subset."""
     out = []
     for omega_bits in range(1, 1 << inst.h):
         omega = {g for g in range(1, inst.h + 1) if omega_bits >> (g - 1) & 1}
@@ -109,7 +100,7 @@ def _subset_constraints(inst: NetworkInstance):
             if a & omega:
                 cover |= 1 << idx
         # ell >= 1, so this dominates the capacity demand rsum + 2t + rho
-        out.append((cover, rsum + 2 * inst.ell * inst.t + inst.rho, omega))
+        out.append((cover, rsum + 2 * inst.ell * inst.t + inst.rho))
     return out
 
 
@@ -119,12 +110,10 @@ def design_lengths(inst: NetworkInstance):
     relaxation, ties broken by the lexicographically smallest tuple."""
     if inst.h > _DESIGN_GUARD or inst.s > _DESIGN_GUARD:
         raise ValueError(f"instance beyond the design guard of {_DESIGN_GUARD}")
-    cons = _subset_constraints(inst)
-    # each demand is a sum over the sources meeting the subset
+    # each demand is a sum over the sources meeting the subset; every message
+    # has a source, so no cover is empty
     demands = {}
-    for cover, demand, omega in cons:
-        if cover == 0 and demand > 0:
-            raise InfeasibleDesign(omega, demand)
+    for cover, demand in _subset_constraints(inst):
         demands[cover] = max(demands.get(cover, 0), demand)
     packed = sorted(demands.items())
     s = inst.s
@@ -362,11 +351,7 @@ def transmit(X, ch: ChannelRealization) -> np.ndarray:
     AX = tower.base_mat_mul(ch.A, X)
     if e == 1:
         return (AX + ch.E) % ch.q
-    out = AX.copy()
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = tower.base_add(int(AX[i, j]), int(ch.E[i, j]))
-    return out
+    return tower._base_numpy_tables()[0][AX, ch.E]
 
 
 def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,

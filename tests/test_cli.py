@@ -61,6 +61,19 @@ def test_check_empty_sets_hold(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", ["check", "construct"])
+@pytest.mark.parametrize("n", ["2", "0"])
+def test_pattern_with_more_rows_than_columns_exit_code(command, n, tmp_path, capsys):
+    # no full-rank 3 x n generator exists for n < 3, whatever the zeros
+    path = tmp_path / "tall.pattern"
+    path.write_text("-\n-\n-\n")
+    rc = main([command, str(path), "--n", n])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"a full-rank 3 x {n} generator needs n >= k columns" in captured.err
+
+
 def test_check_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.pattern"
     path.write_text("1 2\nnope\n")

@@ -1,5 +1,6 @@
 """Field tower construction, Frobenius, expansion and conjugacy classes."""
 
+import hashlib
 import itertools
 import random
 
@@ -433,6 +434,17 @@ def test_base_matrix_rank_matches_span_size(tower, data):
 @pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
 @_linalg_settings
 @given(data=st.data())
+def test_rank_over_base_matches_expansion(tower, data):
+    # widths up to m + 2, then copies of drawn elements appended
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, tower.order - 1))
+    vec = data.draw(st.lists(entry, min_size=1, max_size=tower.m + 2))
+    vec += data.draw(st.lists(st.sampled_from(vec), max_size=3))
+    assert tower.rank_over_base(vec) == tower.base_matrix_rank(tower.expand(vec))
+
+
+@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+@_linalg_settings
+@given(data=st.data())
 def test_mat_rank_matches_minors(tower, data):
     rows, coeffs = data.draw(_matrices(tower.order, 4, 4))
     rows = _with_dependent_row(rows, coeffs, tower.add, tower.mul)
@@ -463,3 +475,25 @@ def test_mat_inv_is_two_sided_inverse(tower, data):
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert mat_mul(tower, rows, inv) == identity
     assert mat_mul(tower, inv, rows) == identity
+
+
+# ----------------------------------------------------------------------
+# Pinned product encodings: a SHA-256 over seeded mul, inv and Frobenius
+# outputs on fields past the log tables (the generic F_q polynomial product
+# for p = 2 with e = 2, odd p with e = 1 and e = 2, and the carry-less route).
+
+PRODUCT_GOLDEN_TOWERS = [(2, 2, 10), (5, 1, 10), (3, 2, 6), (2, 1, 17)]
+PRODUCT_GOLDEN_SHA256 = "3058a8392fd271126fbca434533f750f3c47774c0a06d95819c5eb754bb05657"
+
+
+def test_product_encodings_golden():
+    digest = hashlib.sha256()
+    for pem in PRODUCT_GOLDEN_TOWERS:
+        tower = make_field(*pem)
+        rng = random.Random(1)
+        for _ in range(40):
+            a, b = tower.random_nonzero(rng), tower.random_element(rng)
+            i = rng.randrange(tower.m)
+            out = (tower.mul(a, b), tower.inv(a), tower.frobenius(b, i))
+            digest.update(repr((pem, a, b, i, out)).encode())
+    assert digest.hexdigest() == PRODUCT_GOLDEN_SHA256

@@ -338,6 +338,26 @@ def test_transmit_identity_and_linearity():
     assert np.array_equal(lhs, rhs)
 
 
+def test_transmit_over_f4_matches_entrywise_oracle():
+    # q = 4 = 2^2: F_4 addition is not addition mod 4
+    F4 = make_field(2, 2, 1)
+    ch = sample_channel(5, 6, 7, 2, 1, 4, seed=1)
+    assert ch.E.any()
+    rng = random.Random(4)
+    X = np.array([[rng.randrange(4) for _ in range(7)] for _ in range(5)], dtype=np.int64)
+    want = np.zeros((6, 7), dtype=np.int64)
+    for i in range(6):
+        for j in range(7):
+            acc = int(ch.E[i, j])
+            for t in range(5):
+                acc = F4.base_add(acc, F4.base_mul(int(ch.A[i, t]), int(X[t, j])))
+            want[i, j] = acc
+    assert np.array_equal(transmit(X, ch), want)
+    ident = ChannelRealization(A=np.eye(5, dtype=np.int64), E=np.zeros((5, 7), dtype=np.int64),
+                               q=4, n=5, t=0, rho=0, seed=0)
+    assert np.array_equal(transmit(X, ident), X)
+
+
 def test_audit_weights_reports():
     ch = sample_channel(n=8, N=8, M=8, t=1, rho=0, q=3, seed=3)
     rep = audit_weights(ch, OrderedPartition((4, 4)), OrderedPartition((4, 4)))
