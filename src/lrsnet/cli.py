@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from . import construct, netsim
 from .constraints import (
+    ConditionViolation,
     check_condition,
     parse_pattern,
     suggest_field_params,
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (construct.ConditionViolation, construct.SynthesisError) as exc:
+    except (ConditionViolation, construct.SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -26,6 +26,7 @@ which the condition ensures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +44,8 @@ class SupportConstraint:
                            tuple(frozenset(z) for z in self.zero_sets))
         if self.k < 1 or len(self.zero_sets) != self.k:
             raise ValueError("need one zero set per row, k >= 1")
+        if self.n < self.k:
+            raise ValueError(f"a full-rank {self.k} x {self.n} generator needs n >= k columns")
         for i, z in enumerate(self.zero_sets):
             if any(not (1 <= j <= self.n) for j in z):
                 raise ValueError(f"zero set {i + 1} leaves the column range [1, {self.n}]")
@@ -59,9 +62,12 @@ class ConditionReport:
     cover_dim: int          # max over nonempty subsets of |intersection| + |subset|
 
 
-def _require_columns(k: int, n: int):
-    if n < k:
-        raise ValueError(f"a full-rank {k} x {n} generator needs n >= k columns")
+class ConditionViolation(ValueError):
+    """The zero pattern admits no full-support code of this dimension."""
+
+    def __init__(self, witness):
+        super().__init__(f"support condition violated by rows {witness}")
+        self.witness = witness
 
 
 def _support(sc: SupportConstraint) -> list:
@@ -151,19 +157,19 @@ def _equality_system(sc: SupportConstraint) -> bool:
 
 
 def check_condition(sc: SupportConstraint) -> ConditionReport:
-    """Decide the condition and the cover dimension from one matching of
-    each Z_i into the other rows (no row need be barred: row i is joined to
-    no column of Z_i); on a violation, report the lexicographically least
-    violating row subset."""
-    adj = _support(sc)
-    cover_dim = sc.k + max(_deficiency(adj, mask, 0) for mask in sc.masks())
+    """Decide the condition by the cover dimension, which is k exactly when
+    it holds; on a violation, report the lexicographically least violating
+    row subset."""
+    cover_dim = cover_dimension(sc)
     if cover_dim == sc.k:
         return ConditionReport(True, None, _equality_system(sc), cover_dim)
-    return ConditionReport(False, _least_witness(sc, adj), False, cover_dim)
+    return ConditionReport(False, _least_witness(sc, _support(sc)), False, cover_dim)
 
 
 def cover_dimension(sc: SupportConstraint) -> int:
-    """max over nonempty subsets of |intersection| + |subset| (always >= k)."""
+    """max over nonempty subsets of |intersection| + |subset| (always >= k),
+    from one matching of each Z_i into the other rows (no row need be
+    barred: row i is joined to no column of Z_i)."""
     adj = _support(sc)
     return sc.k + max(_deficiency(adj, mask, 0) for mask in sc.masks())
 
@@ -195,13 +201,12 @@ def complete_zero_sets(sc: SupportConstraint) -> SupportConstraint:
     The per-row matchings decide the condition first and are then updated
     in place: rows are processed in index order and candidate columns in
     increasing order, and a candidate is kept only if the condition still
-    holds.
+    holds; a pattern that violates it raises ConditionViolation.
     """
-    _require_columns(sc.k, sc.n)
     adj = _support(sc)
     matchings = [_matching(adj, mask, 0) for mask in sc.masks()]
     if any(len(row_of) < len(z) for (row_of, _), z in zip(matchings, sc.zero_sets)):
-        raise ValueError(f"condition violated by rows {_least_witness(sc, adj)}; cannot complete")
+        raise ConditionViolation(_least_witness(sc, adj))
     zero_sets = [set(z) for z in sc.zero_sets]
     for i in range(sc.k):
         for j in range(1, sc.n + 1):
@@ -272,7 +277,8 @@ def sufficient_extension_degrees(q: int, k: int, parts):
     parts = list(parts)
     m = max(k - 1 + _ceil_log(q, k), max(parts))
     bound = max((k - 1) * (q - 1) * q ** max(k - 2, 0) + q ** (nl - 1) for nl in parts)
-    m_sharp = 1
+    # the float estimate is at most the answer, and the loop makes it exact
+    m_sharp = max(1, int(math.log(bound, q)) - 1)
     while q ** m_sharp <= bound:
         m_sharp += 1
     return m, m_sharp
@@ -310,7 +316,6 @@ def parse_pattern(text: str, n: int) -> SupportConstraint:
         zero_sets.append(cols)
     if not zero_sets:
         raise ValueError("pattern file holds no rows")
-    _require_columns(len(zero_sets), n)
     return SupportConstraint(n, len(zero_sets), tuple(zero_sets))
 
 

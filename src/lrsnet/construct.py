@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import gf, lrs
 from .constraints import (
     SupportConstraint,
-    check_condition,
     complete_zero_sets,
     cover_dimension,
     sufficient_extension_degrees,
@@ -27,14 +26,6 @@ from .gf import FieldTower
 from .lrs import LrsCode
 from .skewpoly import SkewPoly, minimal_polynomial
 from .sumrank import OrderedPartition
-
-
-class ConditionViolation(ValueError):
-    """The zero pattern admits no full-support code of this dimension."""
-
-    def __init__(self, witness):
-        super().__init__(f"support condition violated by rows {witness}")
-        self.witness = witness
 
 
 class SynthesisError(RuntimeError):
@@ -54,11 +45,15 @@ class ConstrainedCode:
     transform: tuple              # square row transform over F_{q^m}
     matrix: tuple                 # emitted generator rows (sc.k x n)
     attempts: int                 # multiplier samples used
-    cover_dim: int                # dimension of the covering LRS code
 
     @property
     def n(self) -> int:
         return self.code.n
+
+    @property
+    def cover_dim(self) -> int:
+        """Dimension of the covering LRS code."""
+        return self.code.k
 
 
 def row_transform(code: LrsCode, sc: SupportConstraint) -> list:
@@ -108,12 +103,11 @@ def _random_multipliers(tower: FieldTower, part: OrderedPartition, rng) -> tuple
 def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
                sc: SupportConstraint, seed: int = 0, budget: int = 64) -> ConstrainedCode:
     """Search multipliers until the row transform is invertible and the
-    product generator matches the zero pattern exactly."""
+    product generator matches the zero pattern exactly; a pattern that
+    violates the condition raises ConditionViolation."""
     if sc.n != part.n or sc.k != k:
         raise ValueError("constraint shape does not match (partition, k)")
-    report = check_condition(sc)
-    if not report.holds:
-        raise ConditionViolation(report.witness)
+    completed = complete_zero_sets(sc)
     if tower.q < part.ell + 1:
         raise ValueError(f"need q >= ell+1 = {part.ell + 1}, got q = {tower.q}")
     m_bound, m_sharp = sufficient_extension_degrees(tower.q, k, part.parts)
@@ -121,7 +115,6 @@ def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
         raise ValueError(
             f"field (q={tower.q}, m={tower.m}) below the sufficient size "
             f"m >= {min(m_bound, m_sharp)}")
-    completed = complete_zero_sets(sc)
     reps = lrs.default_representatives(tower, part.ell)
     rng = random.Random(seed)
     last_reason = "no attempt made"
@@ -144,7 +137,7 @@ def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
             code=code, sc=completed,
             transform=tuple(tuple(r) for r in T),
             matrix=tuple(tuple(r) for r in G),
-            attempts=attempt + 1, cover_dim=k)
+            attempts=attempt + 1)
     raise SynthesisError(budget, last_reason)
 
 
@@ -169,8 +162,7 @@ def subcode_generator(tower: FieldTower, part: OrderedPartition, k: int,
         sc=SupportConstraint(sc.n, k, full.sc.zero_sets[:k]),
         transform=full.transform,
         matrix=full.matrix[:k],
-        attempts=full.attempts,
-        cover_dim=ktil)
+        attempts=full.attempts)
 
 
 # ----------------------------------------------------------------------
@@ -263,35 +255,46 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(map(_is_int, v))
 
 
+def _is_int_lists(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int_list, v))
+
+
+def _fields(doc, what: str, keys, ints=(), int_lists=(), nested=(), strs=()):
+    """Check that a parsed `what` JSON document is an object holding every
+    key of `keys`, and that the keys named by ints, int_lists, nested and
+    strs hold values of that JSON type; return the document.  The first
+    defect raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    missing = [f'"{key}"' for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    for group, ok, kind in ((ints, _is_int, "an integer"),
+                            (int_lists, _is_int_list, "a list of integers"),
+                            (nested, _is_int_lists, "a list of integer lists"),
+                            (strs, lambda v: isinstance(v, str), "a string")):
+        for key in group:
+            if not ok(doc[key]):
+                raise ValueError(f'{what} field "{key}" must be {kind}')
+    return doc
+
+
 def from_json(text: str) -> ConstrainedCode:
     """Rebuild a serialized code and re-verify it: T must be invertible and
     the matrix must be the first k rows of T * G_LRS, zero exactly on the
     stored zero sets.  Every defect raises ValueError."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("code JSON must be an object")
-    missing = [f'"{key}"' for key in ("field", "partition", "k", "cover_dim", "representatives",
-                                      "multipliers", "zero_sets", "attempts", "transform_csv",
-                                      "matrix_csv") if key not in doc]
-    if missing:
-        raise ValueError(f"code JSON lacks {', '.join(missing)}")
+    doc = _fields(json.loads(text), "code",
+                  ("field", "partition", "k", "cover_dim", "representatives", "multipliers",
+                   "zero_sets", "attempts", "transform_csv", "matrix_csv"),
+                  ints=("k", "cover_dim", "attempts"),
+                  int_lists=("partition", "representatives"),
+                  nested=("multipliers", "zero_sets"),
+                  strs=("transform_csv", "matrix_csv"))
     field = doc["field"]
     if not (isinstance(field, dict) and all(_is_int(field.get(key)) for key in "pem")
             and all(_is_int_list(field.get(key)) for key in ("base_modulus", "top_modulus"))):
         raise ValueError('code field "field" must be an object with integers p, e, m '
                          "and integer lists base_modulus, top_modulus")
-    for key in ("k", "cover_dim", "attempts"):
-        if not _is_int(doc[key]):
-            raise ValueError(f'code field "{key}" must be an integer')
-    for key in ("partition", "representatives"):
-        if not _is_int_list(doc[key]):
-            raise ValueError(f'code field "{key}" must be a list of integers')
-    for key in ("multipliers", "zero_sets"):
-        if not (isinstance(doc[key], list) and all(map(_is_int_list, doc[key]))):
-            raise ValueError(f'code field "{key}" must be a list of integer lists')
-    for key in ("transform_csv", "matrix_csv"):
-        if not isinstance(doc[key], str):
-            raise ValueError(f'code field "{key}" must be a string')
     tower = FieldTower.from_spec(field)
     T, G = _parse_csv_block(doc["transform_csv"]), _parse_csv_block(doc["matrix_csv"])
     for key, values in (("representatives", doc["representatives"]),
@@ -317,4 +320,4 @@ def from_json(text: str) -> ConstrainedCode:
     if mismatches:
         raise ValueError(f"matrix does not match the zero sets: {mismatches[:3]}")
     return ConstrainedCode(code=code, sc=sc, transform=T, matrix=G,
-                           attempts=doc["attempts"], cover_dim=ktil)
+                           attempts=doc["attempts"])

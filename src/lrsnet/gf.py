@@ -124,7 +124,8 @@ class FieldTower:
 
         self._init_base_tables()
 
-        self._order_factors = factorize(self.order - 1) if self.order > 2 else {}
+        # factored on first use, so a malformed top modulus fails before it
+        self._order_factors = None
         if top_modulus is not None:
             top_modulus = tuple(int(c) % self.q for c in top_modulus)
             self._check_top_modulus(top_modulus)
@@ -268,6 +269,8 @@ class FieldTower:
     def _root_is_primitive(self, f) -> bool:
         if f[0] == 0:
             return False  # the root is 0 (m = 1) or f is reducible
+        if self._order_factors is None:
+            self._order_factors = factorize(self.order - 1) if self.order > 2 else {}
         y = (0, 1)
         for r in self._order_factors:
             if _qpoly_trim(self._qpoly_powmod(y, (self.order - 1) // r, f)) == (1,):
@@ -588,17 +591,8 @@ def mat_mul(tower: FieldTower, A, B):
     return out
 
 
-def _dot(tower, row, v):
-    acc = 0
-    for a, b in zip(row, v):
-        if a and b:
-            acc = tower.add(acc, tower.mul(a, b))
-    return acc
-
-
 def vec_mat(tower: FieldTower, v, A):
-    cols = len(A[0])
-    return [_dot(tower, [A[i][j] for i in range(len(A))], v) for j in range(cols)]
+    return mat_mul(tower, [list(v)], A)[0]
 
 
 def mat_rank(tower: FieldTower, A) -> int:

@@ -22,7 +22,7 @@ from .constraints import (
     derive_zero_sets,
     suggest_field_params,
 )
-from .construct import _is_int, _is_int_list
+from .construct import _fields
 from .gf import FieldTower, make_field, prime_power
 from .sumrank import OrderedPartition
 
@@ -64,19 +64,8 @@ class NetworkInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("instance JSON must be an object")
-        missing = [f'"{key}"' for key in ("h", "r", "S", "t", "rho", "ell") if key not in doc]
-        if missing:
-            raise ValueError(f"instance JSON lacks {', '.join(missing)}")
-        for key in ("h", "t", "rho", "ell"):
-            if not _is_int(doc[key]):
-                raise ValueError(f'instance field "{key}" must be an integer')
-        if not _is_int_list(doc["r"]):
-            raise ValueError('instance field "r" must be a list of integers')
-        if not (isinstance(doc["S"], list) and all(map(_is_int_list, doc["S"]))):
-            raise ValueError('instance field "S" must be a list of integer lists')
+        doc = _fields(json.loads(text), "instance", ("h", "r", "S", "t", "rho", "ell"),
+                      ints=("h", "t", "rho", "ell"), int_lists=("r",), nested=("S",))
         return cls(h=doc["h"], lengths=tuple(doc["r"]),
                    access=tuple(frozenset(a) for a in doc["S"]),
                    t=doc["t"], rho=doc["rho"], ell=doc["ell"])
@@ -209,19 +198,11 @@ class DesignResult:
 
     @classmethod
     def from_json(cls, text: str) -> "DesignResult":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("design JSON must be an object")
-        missing = [f'"{key}"' for key in ("instance", "code", "lengths", "n", "k", "cover_dim",
-                                          "distance", "q", "m", "parts") if key not in doc]
-        if missing:
-            raise ValueError(f"design JSON lacks {', '.join(missing)}")
-        for key in ("n", "k", "cover_dim", "distance", "q", "m"):
-            if not _is_int(doc[key]):
-                raise ValueError(f'design field "{key}" must be an integer')
-        for key in ("lengths", "parts"):
-            if not _is_int_list(doc[key]):
-                raise ValueError(f'design field "{key}" must be a list of integers')
+        doc = _fields(json.loads(text), "design",
+                      ("instance", "code", "lengths", "n", "k", "cover_dim", "distance", "q",
+                       "m", "parts"),
+                      ints=("n", "k", "cover_dim", "distance", "q", "m"),
+                      int_lists=("lengths", "parts"))
         inst = NetworkInstance.from_json(json.dumps(doc["instance"]))
         if len(doc["lengths"]) != inst.s or any(x < 0 for x in doc["lengths"]):
             raise ValueError(f'design field "lengths" must hold {inst.s} nonnegative '
@@ -265,8 +246,6 @@ def build_distributed_code(inst: NetworkInstance, seed: int = 0,
     """Full design pipeline; set build_code=False to stop after the sizing
     stage."""
     res = _sized(inst, design_lengths(inst)[0])
-    if res.distance > res.n - res.cover_dim + 1:
-        raise AssertionError("design violates the decoding-capability bound")
     if not build_code:
         return res
     tower = make_field(*prime_power(res.q), res.m)

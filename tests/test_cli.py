@@ -1,9 +1,16 @@
 """Command-line behavior: exit codes, reports, determinism."""
 
+import contextlib
 import copy
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsnet.cli import main
 from lrsnet.constraints import (
@@ -469,6 +476,15 @@ def test_simulate_rejects_code_missing_a_derived_zero(toy_built_design, tmp_path
     _simulate_rejects(doc, tmp_path, capsys, "lacks a zero")
 
 
+def test_simulate_rejects_instance_beyond_its_columns(toy_design_doc, tmp_path, capsys):
+    # 10^6 rows of message 4 cannot fit the design's 23 columns; the shape
+    # check fails before any zero set is scanned or matched
+    toy_design_doc["instance"]["r"] = [1, 3, 2, 10**6]
+    start = time.perf_counter()
+    _simulate_rejects(toy_design_doc, tmp_path, capsys, "needs n >= k")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_simulate_deterministic(toy_instance, tmp_path, capsys):
     design_path = tmp_path / "design.json"
     main(["design", toy_instance, "--out", str(design_path)])
@@ -484,3 +500,110 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check"])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# fuzzing the JSON boundaries: one mutation of a valid document at any depth
+
+MICRO_INSTANCE = {"h": 2, "r": [1, 1], "S": [[1, 2], [1, 2]], "t": 1, "rho": 0, "ell": 1}
+
+
+@pytest.fixture(scope="module")
+def micro_built_design():
+    # the F_16 [4,2,3] design of test_simulate_adversarial_micro_design
+    inst = NetworkInstance.from_json(json.dumps(MICRO_INSTANCE))
+    return json.loads(build_distributed_code(inst).to_json())
+
+
+def _json_paths(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_paths(item, path + (i,))
+
+
+_OTHER_TYPES = ("x", 1.5, True, None, [], {})
+
+
+def _mutations(doc, large_values):
+    """(kind, path, value) for every dropped key, every value of another JSON
+    type and, with large_values, every integer set to 0, -1 or 10^6."""
+    out = []
+    for path, value in _json_paths(doc):
+        if not path:
+            continue
+        if isinstance(path[-1], str):
+            out.append(("drop", path, None))
+        out.extend(("type", path, alt) for alt in _OTHER_TYPES if type(alt) is not type(value))
+        if large_values and type(value) is int:
+            out.extend(("int", path, alt) for alt in (0, -1, 10**6))
+    return out
+
+
+def _mutated(doc, mutation):
+    kind, path, value = mutation
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run_main_on(doc, argv):
+    """Exit code and stdout of main on doc written to a file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([argv[0], path] + argv[1:])
+    return rc, out.getvalue()
+
+
+def _assert_contract(mutation, rc, stdout):
+    kind, path, value = mutation
+    assert rc in (0, 1, 2)
+    if rc:
+        assert stdout == ""
+    if kind != "int" and not (path == ("code",) and value is None):
+        assert rc == 2, mutation
+
+
+_fuzz_settings = settings(max_examples=300, deadline=None)
+
+
+@_fuzz_settings
+@given(st.data())
+def test_simulate_fuzzed_micro_design(micro_built_design, data):
+    mutation = data.draw(st.sampled_from(_mutations(micro_built_design, large_values=True)))
+    rc, stdout = _run_main_on(_mutated(micro_built_design, mutation),
+                              ["simulate", "--trials", "1"])
+    _assert_contract(mutation, rc, stdout)
+
+
+@pytest.mark.parametrize("path", [("code", "field", "m"), ("lengths", 0)],
+                         ids=["field-m", "lengths"])
+def test_simulate_rejects_huge_value_at_once(micro_built_design, path):
+    # q^m - 1 used to be factored before the modulus length was checked, and
+    # a 10^6-symbol block made the sharp degree search quadratic in m
+    start = time.perf_counter()
+    rc, stdout = _run_main_on(_mutated(micro_built_design, ("int", path, 10**6)),
+                              ["simulate", "--trials", "1"])
+    assert rc == 2 and stdout == ""
+    assert time.perf_counter() - start < 1.0
+
+
+# large values are left out here: they can make the design ILP grind (ROADMAP item 2)
+@_fuzz_settings
+@given(st.sampled_from(_mutations(MICRO_INSTANCE, large_values=False)))
+def test_design_fuzzed_instance(mutation):
+    rc, stdout = _run_main_on(_mutated(MICRO_INSTANCE, mutation), ["design"])
+    _assert_contract(mutation, rc, stdout)

@@ -17,6 +17,7 @@ from lrsnet.constraints import (
     format_pattern,
     parse_pattern,
     suggest_field_params,
+    sufficient_extension_degrees,
 )
 
 TOY_ACCESS = [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}]
@@ -141,15 +142,25 @@ def test_completion_requires_condition():
 
 
 def test_completion_requires_enough_columns():
-    sc = SupportConstraint(2, 4, (frozenset(),) * 4)
+    # no pattern with fewer columns than rows is constructed, so neither the
+    # condition (which would hold vacuously here) nor the completion sees one
+    with pytest.raises(ValueError, match="a full-rank 3 x 2 generator needs n >= k columns"):
+        SupportConstraint(2, 3, ((), (), ()))
     with pytest.raises(ValueError, match="columns"):
-        complete_zero_sets(sc)
-    # k = 3 rows fit their k - 1 = 2 zeros into n = 2 columns and hold the
-    # condition, but no full-rank 3 x 2 generator exists
-    sc = SupportConstraint(2, 3, (frozenset(), {1}, {2}))
-    assert check_condition(sc).holds
+        SupportConstraint(2, 4, (frozenset(),) * 4)
+    # k = 3 rows fit their k - 1 = 2 zeros into n = 2 columns and would hold
+    # the condition, but no full-rank 3 x 2 generator exists
     with pytest.raises(ValueError, match="n >= k"):
-        complete_zero_sets(sc)
+        SupportConstraint(2, 3, (frozenset(), {1}, {2}))
+    # every shape the completion property test drew with n < k
+    for k in range(1, 8):
+        for n in range(k):
+            for zs in ((frozenset(),) * k, (frozenset(range(1, min(n, k - 1) + 1)),) * k):
+                with pytest.raises(ValueError, match="n >= k"):
+                    SupportConstraint(n, k, zs)
+    # the shape is checked before any zero set is scanned
+    with pytest.raises(ValueError, match="n >= k"):
+        SupportConstraint(23, 10**6, (frozenset(range(1, 24)),) * 10**6)
 
 
 def test_derive_toy_pattern():
@@ -196,6 +207,21 @@ def test_field_suggestion_sharp_threshold():
     fp2 = suggest_field_params(2, 2, (3, 3))
     # 3^m > 1*2*3^0 + 3^2 = 11  ->  m_sharp = 3
     assert fp2.m_sharp == 3
+
+
+def test_sharp_degree_is_least_power_beyond_the_bound():
+    # m_sharp is the least m >= 1 with q^m > max (k-1)(q-1)q^(k-2) + q^(n_l-1),
+    # also for blocks far longer than any field the package can build
+    rng = random.Random(7)
+    cases = [(2, 1, [1]), (3, 2, [1, 1]), (2, 2, [10**6]), (5, 3, [3 * 10**5])]
+    for _ in range(2000):
+        cases.append((rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 27, 125]), rng.randrange(1, 40),
+                      [rng.randrange(1, 80) for _ in range(rng.randrange(1, 5))]))
+    for q, k, parts in cases:
+        bound = max((k - 1) * (q - 1) * q ** max(k - 2, 0) + q ** (nl - 1) for nl in parts)
+        m_sharp = sufficient_extension_degrees(q, k, parts)[1]
+        assert q ** m_sharp > bound
+        assert m_sharp == 1 or q ** (m_sharp - 1) <= bound
 
 
 def test_field_suggestion_prime_power_steps():
@@ -262,10 +288,10 @@ def test_completion_of_empty_square_pattern_is_equality_system():
 
 @st.composite
 def random_patterns(draw, below_k=False):
-    """Any zero sets, empty ones and ones of size >= k included; with
-    below_k, every zero set has fewer than k columns."""
+    """Any zero sets over n >= k columns, empty ones and ones of size >= k
+    included; with below_k, every zero set has fewer than k columns."""
     k = draw(st.integers(1, 7))
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(k, 10))
     size = k - 1 if below_k else n
     zs = draw(st.lists(st.frozensets(st.integers(1, n), max_size=size),
                        min_size=k, max_size=k))
@@ -350,10 +376,6 @@ def brute_greedy_completion(sc):
                  perturbed_equality_systems()))
 def test_completion_matches_brute_greedy(sc):
     assume(brute_condition(sc)[0] <= sc.k)
-    if sc.n < sc.k:
-        with pytest.raises(ValueError, match="n >= k"):
-            complete_zero_sets(sc)
-        return
     expected = brute_greedy_completion(sc)
     assert expected is not None  # with n >= k the greedy never gets stuck
     assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)

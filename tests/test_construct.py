@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from lrsnet.constraints import SupportConstraint
+from lrsnet.constraints import ConditionViolation, SupportConstraint
 from lrsnet.construct import (
-    ConditionViolation,
     SynthesisError,
     constraint_matrix_rank,
     from_json,

@@ -162,6 +162,8 @@ def test_built_cover_dimension_matches_subset_oracle():
                                rho=rng.randrange(0, 2), ell=rng.randrange(1, min(2, sum(r)) + 1))
         res = build_distributed_code(inst, build_code=False)
         assert res.cover_dim == cover_dimension_from_design(inst, res.lengths)
+        # the optimal lengths meet the decoding-capability bound
+        assert res.distance <= res.n - res.cover_dim + 1
         empty_access |= frozenset() in inst.access
         zero_length |= 0 in res.lengths
     assert empty_access and zero_length
