@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .gf import prime_power
@@ -51,7 +52,15 @@ class SupportConstraint:
                 raise ValueError(f"zero set {i + 1} leaves the column range [1, {self.n}]")
 
     def masks(self):
-        return [sum(1 << (j - 1) for j in z) for z in self.zero_sets]
+        """Zero sets as bitmasks, bit j - 1 for column j, each parsed from an
+        n-digit binary string: summing the powers of two is quadratic in n."""
+        out = []
+        for z in self.zero_sets:
+            digits = bytearray(b"0" * self.n)
+            for j in z:
+                digits[self.n - j] = 49  # "1", most significant digit first
+            out.append(int(digits, 2))
+        return out
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,10 @@ def _support(sc: SupportConstraint) -> list:
         for j in z:
             adj[j - 1] &= ~(1 << r)
     return adj
+
+
+# ASCII binary digits to the byte values 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _augment(adj, row_of, col_of, start, seen) -> bool:
@@ -112,12 +125,13 @@ def _augment(adj, row_of, col_of, start, seen) -> bool:
 
 def _matching(adj, cols: int, barred: int):
     """Maximum matching of the column bitmask `cols` into the rows outside
-    `barred`, as (row_of, col_of)."""
+    `barred`, as (row_of, col_of).  Columns are tried in ascending order, read
+    off one binary string: clearing bits of an n-bit int one at a time costs
+    O(n) per column."""
     row_of, col_of = {}, {}
-    while cols:
-        low = cols & -cols
-        _augment(adj, row_of, col_of, low.bit_length() - 1, barred)
-        cols ^= low
+    bits = bin(cols)[:1:-1].encode().translate(_BIT_VALUES)  # bit c at index c
+    for c in compress(range(len(bits)), bits):
+        _augment(adj, row_of, col_of, c, barred)
     return row_of, col_of
 
 

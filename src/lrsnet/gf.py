@@ -15,6 +15,23 @@ vector as base-q digits), which makes construction deterministic.
 The top modulus is always chosen (and, if supplied, required) to have a
 primitive root, so ``gamma`` (the residue of y) generates the whole
 multiplicative group.
+
+Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
+
+- order <= 2^16: ``mul``, ``inv``, ``pow`` and ``frobenius`` look up tables
+  of gamma-powers, built at construction by the product routes below;
+- product, p = 2: one carry-less pass over the integer encoding with an
+  e-bit digit stride, on the multiples x^t b, reduced through the q-entry
+  table of c f (oracle: ``_qpoly_mulmod``);
+- product, odd prime q: Kronecker substitution, one big-int product of
+  the digits in w-bit slots, folded by the rows y^(m+t) mod f (oracle:
+  ``_qpoly_mulmod``);
+- product, odd p with e >= 2: ``_qpoly_mulmod`` itself, the schoolbook
+  product and reduction in F_q[y] that the modulus search also runs on;
+- Frobenius sigma^i: the F_q-linear map a -> sum_j T_i[j][a_j], with
+  T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
+- inverse: extended Euclid over F_q[y] on ``_qpoly_divmod`` (oracle:
+  ``pow(a, q^m - 2)``).
 """
 
 from __future__ import annotations
@@ -30,6 +47,8 @@ _SCALAR_TABLE_MAX = 1 << 16
 _NUMPY_TABLE_MAX = 512
 # Exhaustive conjugacy-class enumeration guard.
 _CLASS_ENUM_MAX = 1 << 20
+# Entries of the table that spreads several base-p digits at once.
+_SPREAD_TABLE_MAX = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -135,10 +154,14 @@ class FieldTower:
 
         # for m = 1, y is the root -f_0 of y + f_0
         self.gamma = self.q if m >= 2 else self.base_neg(self.top_modulus[0])
-        if self._p2 and e == 1:
-            self._mod_int = sum(c << i for i, c in enumerate(self.top_modulus))
+
+        # every attribute is set here: one written to the instance later
+        # defeats CPython's attribute specialization and slows `mul`
+        self._frobenius_maps = {}  # i -> T_i, built on first use
+        if self._p2:
+            self._init_binary_packing()
         else:
-            self._mod_int = None
+            self._init_slot_packing()
 
         self._exp = None
         self._log = None
@@ -192,10 +215,10 @@ class FieldTower:
         self._base_mul_tab = mul
         self._base_inv_tab = inv
 
-    # For e = 1 the one-digit case stays inline: base_add runs per digit
-    # product and base_sub per reduction step of `_qpoly_mulmod`, which `mul`
-    # runs on fields without log tables, base_sub also per entry of an F_q
-    # elimination, and a helper call made `mul` in F_{5^10} ~14% slower.
+    # For e = 1 the one-digit case stays inline: base_mul and base_sub run per
+    # step of `_qpoly_divmod`, which `inv` runs on fields without log tables,
+    # base_sub also per entry of an F_q elimination, and a helper call made
+    # the F_q polynomial product in F_{5^10} ~14% slower.
     def base_add(self, a: int, b: int) -> int:
         if self._p2:
             return a ^ b
@@ -283,17 +306,22 @@ class FieldTower:
         n = max(len(a), len(b))
         a = tuple(a) + (0,) * (n - len(a))
         b = tuple(b) + (0,) * (n - len(b))
-        return tuple(self.base_sub(x, y) for x, y in zip(a, b))
+        sub = self.base_sub
+        return tuple([sub(x, y) for x, y in zip(a, b)])
 
-    def _qpoly_mulmod(self, a, b, f):
+    def _qpoly_mul(self, a, b):
+        add, mul = self.base_add, self.base_mul
         res = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
             for j, y in enumerate(b):
                 if y:
-                    res[i + j] = self.base_add(res[i + j], self.base_mul(x, y))
-        return tuple(self._qpoly_reduce(res, f))
+                    res[i + j] = add(res[i + j], mul(x, y))
+        return res
+
+    def _qpoly_mulmod(self, a, b, f):
+        return tuple(self._qpoly_reduce(self._qpoly_mul(a, b), f))
 
     def _qpoly_reduce(self, res, f):
         d = len(f) - 1
@@ -321,14 +349,18 @@ class FieldTower:
         b = _qpoly_trim(b)
         if not b:
             raise ZeroDivisionError
+        sub, mul = self.base_sub, self.base_mul
         inv_lead = self.base_inv(b[-1])
         q = [0] * max(0, len(a) - len(b) + 1)
-        while len(a) >= len(b) and a:
-            c = self.base_mul(a[-1], inv_lead)
-            k = len(a) - len(b)
+        top = len(b) - 1
+        while len(a) > top:
+            # the leading term cancels: pop it, then subtract c y^k b below it
+            c = mul(a.pop(), inv_lead)
+            k = len(a) - top
             q[k] = c
-            for j, y in enumerate(b):
-                a[k + j] = self.base_sub(a[k + j], self.base_mul(c, y))
+            for j in range(top):
+                if b[j]:
+                    a[k + j] = sub(a[k + j], mul(c, b[j]))
             while a and a[-1] == 0:
                 a.pop()
         return tuple(q), tuple(a)
@@ -361,15 +393,19 @@ class FieldTower:
         return _digitwise_mod_sub(0, a, self.p, self._ndigits)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self._p2:
+            return a ^ b
+        return _digitwise_mod_sub(a, b, self.p, self._ndigits)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        if self._mod_int is not None:
-            return _clmul_mod(a, b, self._mod_int, self.m)
+        if self._p2:
+            return self._binary_mul(a, b)
+        if self.e == 1:
+            return self._kronecker_mul(a, b)
         return _digits_int(self._qpoly_mulmod(self.digits(a), self.digits(b), self.top_modulus),
                            self.q)
 
@@ -378,7 +414,15 @@ class FieldTower:
             raise ZeroDivisionError("inverse of 0")
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        # extended Euclid over F_q[y]: s * a = r (mod f), ending at a unit r
+        r0, r1 = self.top_modulus, _qpoly_trim(self.digits(a))
+        s0, s1 = (), (1,)
+        while len(r1) > 1:
+            quo, rem = self._qpoly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, self._qpoly_sub(s0, self._qpoly_mul(quo, s1))
+        c = self.base_inv(r1[0])
+        return _digits_int([self.base_mul(c, x) for x in s1], self.q)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -401,7 +445,140 @@ class FieldTower:
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^(i mod m)), the i-th power of the Frobenius x -> x^q."""
         i %= self.m
-        return self.pow(a, self.q ** i)
+        if i == 0:
+            return a
+        if self._exp is not None:
+            return self.pow(a, self.q ** i)
+        # sigma^i fixes F_q, so sigma^i(a) = sum_j T_i[j][a_j]
+        rows = self._frobenius_maps.get(i)
+        if rows is None:
+            rows = self._frobenius_maps[i] = self._frobenius_rows(i)
+        acc = 0
+        q = self.q
+        if self._p2:
+            e, digit = self.e, q - 1
+            for row in rows:
+                if not a:
+                    break
+                acc ^= row[a & digit]
+                a >>= e
+            return acc
+        for row in rows:
+            if not a:
+                break
+            a, c = divmod(a, q)
+            acc += row[c]
+        return self._gather(acc)
+
+    def _frobenius_rows(self, i: int):
+        """T_i[j][c] = c * sigma^i(y^j) over j < m and c in F_q; for odd p in
+        slot form, so a sum of m entries is taken mod p once."""
+        step = self.pow(self.gamma, self.q ** i)  # sigma^i(y)
+        rows, v = [], 1
+        for _ in range(self.m):
+            rows.append([self.mul(c, v) for c in range(self.q)])
+            v = self.mul(v, step)
+        if self._p2:
+            return rows
+        return [[self._spread(x) for x in row] for row in rows]
+
+    # Packed products.  For p = 2 an encoding is the F_2 coefficient vector of
+    # its e*m digits, so addition is XOR and one carry-less pass over a's bits
+    # forms a * b.  For odd p each base-p digit sits in its own w-bit slot of
+    # an integer, wide enough that sums and (for e = 1) one big-int product
+    # never carry between slots; the slots are taken mod p once at the end.
+
+    def _init_binary_packing(self):
+        e = self.e
+        starts = _digits_int([1] * self.m, 1 << e)
+        self._digit_starts = starts              # bit 0 of every digit
+        self._digit_tops = starts << (e - 1)     # bit e-1 of every digit
+        self._base_low = _digits_int(self.base_modulus[:e], 2)  # g - x^e
+        # c * f for every c in F_q, to clear a top digit c in one XOR
+        self._scaled_modulus = [_digits_int([self.base_mul(c, fk) for fk in self.top_modulus],
+                                            self.q) for c in range(self.q)]
+        self._fold_shifts = tuple((e * i, e * (i - self.m))
+                                  for i in range(2 * self.m - 2, self.m - 1, -1))
+
+    def _binary_mul(self, a: int, b: int) -> int:
+        e = self.e
+        acc = 0
+        t = 0
+        while True:
+            # bit e*i of at is coefficient x^t of a's digit i: add b x^t y^i
+            at = a >> t & self._digit_starts
+            while at:
+                low = at & -at
+                acc ^= b * low
+                at ^= low
+            t += 1
+            if t == e:
+                break
+            # b <- x * b in every digit: shift, then reduce overflowing digits by g
+            top = b & self._digit_tops
+            b = (b ^ top) << 1 ^ (top >> (e - 1)) * self._base_low
+        # clear digits 2m-2 .. m from the top: digit c at y^i takes c f y^(i-m)
+        scaled = self._scaled_modulus
+        for top, shift in self._fold_shifts:
+            c = acc >> top
+            if c:
+                acc ^= scaled[c] << shift
+        return acc
+
+    def _init_slot_packing(self):
+        p, m = self.p, self.m
+        width = (2 * m * (p - 1) ** 2).bit_length()
+        self._slot_width = width
+        self._slot_mask = (1 << width) - 1
+        self._slot_shifts = range(width * (self._ndigits - 1), -1, -width)
+        self._half_mask = (1 << (width * m)) - 1
+        # slot forms of all k-digit chunks, p^k <= _SPREAD_TABLE_MAX; one
+        # digit is its own slot form
+        k = 1
+        while p ** (k + 1) <= _SPREAD_TABLE_MAX:
+            k += 1
+        slots = range(p)
+        for j in range(1, k):
+            slots = [s | d << (width * j) for d in range(p) for s in slots]
+        self._chunk = p ** k
+        self._chunk_width = width * k
+        self._chunk_slots = slots
+        # y^(m+t) mod f for t < m - 1, to fold the high half of a product
+        self._fold_rows = [self._spread(_digits_int(
+            self._qpoly_reduce([0] * (m + t) + [1], self.top_modulus), p))
+            for t in range(m - 1)] if self.e == 1 else []
+
+    def _spread(self, a: int) -> int:
+        """Slot form of an encoding: base-p digit j in bits [j w, (j + 1) w)."""
+        chunk, width, slots = self._chunk, self._chunk_width, self._chunk_slots
+        out, shift = 0, 0
+        while a:
+            a, d = divmod(a, chunk)
+            out |= slots[d] << shift
+            shift += width
+        return out
+
+    def _gather(self, s: int) -> int:
+        """Encoding whose base-p digit j is slot j of `s` mod p."""
+        p, mask = self.p, self._slot_mask
+        out = 0
+        for shift in self._slot_shifts:
+            out = out * p + (s >> shift & mask) % p
+        return out
+
+    def _kronecker_mul(self, a: int, b: int) -> int:
+        # prime q: slots hold F_p coefficients of y^j, and a slot of the
+        # product is a convolution sum below 2^w
+        s = self._spread(a) * self._spread(b)
+        w, mask = self._slot_width, self._slot_mask
+        low = s & self._half_mask
+        s >>= w * self.m
+        for row in self._fold_rows:
+            if not s:
+                break
+            low += (s & mask) % self.p * row
+            s >>= w
+        return self._gather(low)
 
     def _build_scalar_tables(self):
         n = self.order
@@ -712,21 +889,6 @@ def _digitwise_add_table(p: int, length: int) -> np.ndarray:
         n = add.shape[0]
         add = (p * add[:, None, :, None] + digit[None, :, None, :]).reshape(n * p, n * p)
     return add
-
-
-def _clmul_mod(a: int, b: int, mod: int, m: int) -> int:
-    # carry-less multiply then reduce; F_2 coefficient vectors as ints
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    top = acc.bit_length() - 1
-    while top >= m:
-        acc ^= mod << (top - m)
-        top = acc.bit_length() - 1
-    return acc
 
 
 def _qpoly_trim(a):

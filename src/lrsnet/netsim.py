@@ -207,6 +207,10 @@ class DesignResult:
         if len(doc["lengths"]) != inst.s or any(x < 0 for x in doc["lengths"]):
             raise ValueError(f'design field "lengths" must hold {inst.s} nonnegative '
                              "integers, one per source")
+        # before _sized, whose zero pattern has sum(lengths) columns
+        if doc["n"] != sum(doc["lengths"]):
+            raise ValueError(f'design field "n" is {doc["n"]}, but its lengths sum to '
+                             f'{sum(doc["lengths"])}')
         res = _sized(inst, doc["lengths"])
         want = json.loads(res.to_json())
         for key in ("n", "k", "cover_dim", "distance", "q", "m", "parts"):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -133,6 +134,23 @@ def test_design_toy(toy_instance, capsys):
     assert doc["n"] == 23 and doc["distance"] == 15
     assert doc["cover_dim"] == 9
     assert doc["parts"] == [8, 7, 8]
+
+
+# Pinned `design --build` outputs: the toy code over F_{4^10} (ell 3) and
+# F_{5^10} (ell 4), both past the log tables, so every product, inverse and
+# Frobenius power of the synthesis runs on the packed routes of `gf`.
+BUILD_GOLDEN_SHA256 = {
+    3: "89c67ff5b00c7328255f7378492cacb06065ccb43a0ab544340af3c9d6bcca42",
+    4: "a2e976d421742cf9019ebd55197d9d163b9c7260652a5d46df1178e32aecbccc",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(BUILD_GOLDEN_SHA256))
+def test_design_build_golden(ell, toy_instance, tmp_path, capsys):
+    out_file = tmp_path / "design.json"
+    assert main(["design", toy_instance, "--build", "--ell", str(ell), "--seed", "7",
+                 "--out", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == BUILD_GOLDEN_SHA256[ell]
 
 
 def test_design_table_sweep(toy_instance, tmp_path, capsys):
@@ -483,6 +501,15 @@ def test_simulate_rejects_instance_beyond_its_columns(toy_design_doc, tmp_path, 
     start = time.perf_counter()
     _simulate_rejects(toy_design_doc, tmp_path, capsys, "needs n >= k")
     assert time.perf_counter() - start < 1.0
+
+
+def test_simulate_rejects_huge_length_at_once(toy_design_doc, tmp_path, capsys):
+    # lengths summing to ~10^6 against n = 23: n is compared with their sum
+    # before the 10^6-column zero pattern is built and matched
+    toy_design_doc["lengths"] = [1000000, 7, 2, 8]
+    start = time.perf_counter()
+    _simulate_rejects(toy_design_doc, tmp_path, capsys, '"n" is 23')
+    assert time.perf_counter() - start < 5.0
 
 
 def test_simulate_deterministic(toy_instance, tmp_path, capsys):

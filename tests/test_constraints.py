@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -103,6 +104,17 @@ def test_cover_dimension_examples():
     assert cover_dimension(SupportConstraint(4, 2, (frozenset(), frozenset()))) == 2
     toy = derive_zero_sets(TOY_ACCESS, TOY_LENGTHS, TOY_SOURCES)
     assert cover_dimension(toy) == 9 == toy.k
+
+
+def test_cover_dimension_linear_in_columns():
+    # masks and matchings each take one pass over the columns; peeling bits
+    # off an n-bit int per column took ~7 s at this size
+    n = 200_000
+    sc = SupportConstraint(n, 2, (range(2, n + 1), ()))
+    assert sc.masks() == [(1 << n) - 2, 0]
+    start = time.perf_counter()
+    assert cover_dimension(sc) == n
+    assert time.perf_counter() - start < 3.0
 
 
 def test_completion_greedy_trace():

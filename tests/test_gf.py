@@ -364,6 +364,52 @@ def test_spec_golden(pem):
 
 
 # ----------------------------------------------------------------------
+# Each arithmetic route against its oracle: products against the schoolbook
+# F_q polynomial product, the Frobenius map and the Euclidean inverse against
+# square-and-multiply powers.  Towers: p = 2 with e = 1, 2, 3 (packed
+# carry-less product), prime q > 2 (Kronecker product; F_{7^3} also has log
+# tables, which that product built), odd p with e = 2 (polynomial product),
+# and the prime field F_65537 past the tables.
+
+ROUTE_TOWERS = [make_field(*pem) for pem in ((2, 2, 10), (2, 3, 7), (2, 1, 17), (5, 1, 10),
+                                             (3, 1, 12), (7, 1, 3), (3, 2, 6), (65537, 1, 1))]
+_route_ids = [repr(t) for t in ROUTE_TOWERS]
+_route_settings = settings(max_examples=40, deadline=None)
+
+
+def _element(tower, nonzero=False):
+    edges = [1, tower.gamma, tower.order - 1] + ([] if nonzero else [0])
+    return st.one_of(st.sampled_from(edges), st.integers(int(nonzero), tower.order - 1))
+
+
+@pytest.mark.parametrize("tower", ROUTE_TOWERS, ids=_route_ids)
+@_route_settings
+@given(data=st.data())
+def test_mul_matches_polynomial_product(tower, data):
+    a, b = data.draw(_element(tower)), data.draw(_element(tower))
+    coeffs = tower._qpoly_mulmod(tower.digits(a), tower.digits(b), tower.top_modulus)
+    assert tower.mul(a, b) == sum(c * tower.q ** i for i, c in enumerate(coeffs))
+    assert tower.sub(a, b) == tower.add(a, tower.neg(b))
+
+
+@pytest.mark.parametrize("tower", ROUTE_TOWERS, ids=_route_ids)
+@_route_settings
+@given(data=st.data())
+def test_frobenius_matches_power(tower, data):
+    a = data.draw(_element(tower))
+    i = data.draw(st.integers(-tower.m, 2 * tower.m - 1))
+    assert tower.frobenius(a, i) == tower.pow(a, tower.q ** (i % tower.m))
+
+
+@pytest.mark.parametrize("tower", ROUTE_TOWERS, ids=_route_ids)
+@_route_settings
+@given(data=st.data())
+def test_inv_matches_power(tower, data):
+    a = data.draw(_element(tower, nonzero=True))
+    assert tower.inv(a) == tower.pow(a, tower.order - 2)
+
+
+# ----------------------------------------------------------------------
 # Elimination (rank, determinant, inverse) against oracles that do no
 # elimination: row-span sizes, Leibniz determinants and nonzero minors.
 # Towers: prime q, p = 2 on the carry-less path (order past the log tables),
@@ -479,8 +525,9 @@ def test_mat_inv_is_two_sided_inverse(tower, data):
 
 # ----------------------------------------------------------------------
 # Pinned product encodings: a SHA-256 over seeded mul, inv and Frobenius
-# outputs on fields past the log tables (the generic F_q polynomial product
-# for p = 2 with e = 2, odd p with e = 1 and e = 2, and the carry-less route).
+# outputs on fields past the log tables (the packed carry-less product for
+# p = 2 with e = 2 and e = 1, the Kronecker product for q = 5 and the F_q
+# polynomial product for q = 9).
 
 PRODUCT_GOLDEN_TOWERS = [(2, 2, 10), (5, 1, 10), (3, 2, 6), (2, 1, 17)]
 PRODUCT_GOLDEN_SHA256 = "3058a8392fd271126fbca434533f750f3c47774c0a06d95819c5eb754bb05657"
