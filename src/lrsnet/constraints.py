@@ -127,11 +127,21 @@ def _matching(adj, cols: int, barred: int):
     """Maximum matching of the column bitmask `cols` into the rows outside
     `barred`, as (row_of, col_of).  Columns are tried in ascending order, read
     off one binary string: clearing bits of an n-bit int one at a time costs
-    O(n) per column."""
+    O(n) per column.
+
+    A column whose neighbours match those of a column that found no
+    augmenting path is skipped: any path from it would start one from that
+    free column too, and by Berge's lemma a free vertex without an
+    augmenting path never gains one as the matching grows.  So the matching
+    is the one the full scan builds, at no more than (distinct neighbour
+    sets + k) searches.
+    """
     row_of, col_of = {}, {}
+    failed = set()
     bits = bin(cols)[:1:-1].encode().translate(_BIT_VALUES)  # bit c at index c
     for c in compress(range(len(bits)), bits):
-        _augment(adj, row_of, col_of, c, barred)
+        if adj[c] not in failed and not _augment(adj, row_of, col_of, c, barred):
+            failed.add(adj[c])
     return row_of, col_of
 
 

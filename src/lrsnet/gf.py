@@ -45,6 +45,9 @@ import numpy as np
 _SCALAR_TABLE_MAX = 1 << 16
 # Full order x order numpy add/mul tables, used by brute-force enumeration.
 _NUMPY_TABLE_MAX = 512
+# `base_matrix_rank` keeps residues mod primes below this in int64, where
+# every product and sum fits; larger primes eliminate on Python ints.
+_INT64_PRIME_BOUND = 1 << 31
 # Exhaustive conjugacy-class enumeration guard.
 _CLASS_ENUM_MAX = 1 << 20
 # Entries of the table that spreads several base-p digits at once.
@@ -603,20 +606,53 @@ class FieldTower:
         return np.array(cols, dtype=np.int64).T.reshape(self.m, len(cols))
 
     def rank_over_base(self, vec) -> int:
-        # the rank of expand(vec), taken on its transpose
-        return self.base_matrix_rank([self.digits(v) for v in vec])
+        # the rank of expand(vec), taken on its transpose; a few short digit
+        # lists eliminate faster as Python lists than through numpy
+        rows = [self.digits(v) for v in vec]
+        return len(_eliminate(rows, self.m, self.base_inv, self.base_mul, self.base_sub)[0])
 
     def linearly_independent_over_base(self, elems) -> bool:
         elems = list(elems)
         return self.rank_over_base(elems) == len(elems)
 
     def base_matrix_rank(self, mat) -> int:
-        """Rank over F_q of a matrix of base-field encodings."""
-        rows = [list(map(int, r)) for r in mat]
-        if not rows:
+        """Rank over F_q of a matrix of base-field encodings.
+
+        One forward elimination on an int64 copy (Python ints for primes past
+        `_INT64_PRIME_BOUND`) with no more rows than columns.  Rows are taken in
+        order: one that the earlier pivots left nonzero is the next pivot, and
+        its first nonzero column is cleared from all rows below it at once,
+        by mod-p arithmetic for prime q and by the F_q table gathers
+        otherwise (the two cases of `base_mat_mul`).  Pivoting on rows needs
+        no row swaps, and the elimination stops once the rows left are zero.
+        """
+        M = np.array(mat, dtype=np.int64 if self.p < _INT64_PRIME_BOUND else object)
+        if M.size == 0:
             return 0
-        pivots, _ = _eliminate(rows, len(rows[0]), self.base_inv, self.base_mul, self.base_sub)
-        return len(pivots)
+        if M.shape[0] > M.shape[1]:
+            M = M.T.copy()
+        if self.e == 1:
+            p = self.p
+        else:
+            add, mul, neg, inv = self._base_numpy_tables()
+        rank = 0
+        for i, row in enumerate(M):
+            col = (row != 0).argmax()
+            lead = row[col]
+            if not lead:
+                continue
+            rank += 1
+            # row r below gets f_r times the pivot row, f_r = -M[r, col] / lead
+            below = M[i + 1:]
+            if self.e == 1:
+                f = below[:, col] * (p - pow(int(lead), p - 2, p)) % p
+                below[:] = (below + f[:, None] * row) % p
+            else:
+                f = mul[neg[below[:, col]], inv[lead]]
+                below[:] = add[below, mul[f[:, None], row]]
+            if not below.any():
+                break
+        return rank
 
     def base_mat_mul(self, A, B) -> np.ndarray:
         """Product of two F_q matrices; modular matmul for prime q, table
@@ -812,6 +848,10 @@ def _eliminate(rows, ncols, inv, mul, sub):
     Each pivot row is scaled to a leading 1 and cleared from the rows below
     it, which leaves a row-echelon form.  Returns the pivots as found, before
     scaling (their count is the rank), and the number of row swaps.
+
+    It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`) and
+    the short digit lists of `FieldTower.rank_over_base`, and is the oracle
+    of the numpy F_q kernel in `FieldTower.base_matrix_rank`.
     """
     pivots = []
     swaps = 0

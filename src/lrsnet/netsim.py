@@ -283,6 +283,11 @@ def lift(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
+    """One channel draw Y = A X + E over F_q.  `rank_A` is the F_q-rank of A
+    that `sample_channel` verified (n - rho_eff), so the audit reports it
+    without eliminating A again; a hand-built realization must pass A's
+    true rank."""
+
     A: np.ndarray      # N x n transfer matrix over F_q
     E: np.ndarray      # N x M error matrix over F_q
     q: int
@@ -290,6 +295,7 @@ class ChannelRealization:
     t: int
     rho: int
     seed: int
+    rank_A: int        # F_q-rank of A
 
 
 def _rand_matrix(rng, rows, cols, q):
@@ -312,7 +318,8 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
         R = _rand_matrix(rng, N, n, q)
         A = R.copy()
         A[:, deleted] = 0
-        if tower.base_matrix_rank(A) == n - rho_eff:
+        rank_A = tower.base_matrix_rank(A)
+        if rank_A == n - rho_eff:
             break
     t_eff = rng.randint(0, t)
     if t_eff:
@@ -321,7 +328,7 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
         E = tower.base_mat_mul(U, V)
     else:
         E = np.zeros((N, M), dtype=np.int64)
-    return ChannelRealization(A=A, E=E, q=q, n=n, t=t, rho=rho, seed=seed)
+    return ChannelRealization(A=A, E=E, q=q, n=n, t=t, rho=rho, seed=seed, rank_A=rank_A)
 
 
 def transmit(X, ch: ChannelRealization) -> np.ndarray:
@@ -343,7 +350,7 @@ def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
     p, e = prime_power(ch.q)
     tower = make_field(p, e, 1)
     ell = row_partition.ell
-    rank_A = tower.base_matrix_rank(ch.A)
+    rank_A = ch.rank_A
     wtsr_A = sumrank.sum_rank_weight_matrix(tower, ch.A, col_partition, "columns")
     rank_E = tower.base_matrix_rank(ch.E)
     wtsr_E = sumrank.sum_rank_weight_matrix(tower, ch.E, row_partition, "rows")

@@ -97,11 +97,11 @@ def sum_rank_distance(tower: FieldTower, x, y, part: OrderedPartition) -> int:
 def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition,
                            orientation: str = "columns") -> int:
     """Sum of block ranks of an F_q matrix partitioned column- or row-wise."""
-    mat = [list(r) for r in mat]
+    mat = np.asarray(mat)
     if orientation == "columns":
-        if not mat or len(mat[0]) != part.n:
+        if mat.ndim != 2 or mat.shape[1] != part.n:
             raise ValueError("column count does not match partition")
-        blocks = ([row[a:b] for row in mat] for a, b in part.slices())
+        blocks = (mat[:, a:b] for a, b in part.slices())
     elif orientation == "rows":
         if len(mat) != part.n:
             raise ValueError("row count does not match partition")

@@ -153,6 +153,32 @@ def test_design_build_golden(ell, toy_instance, tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == BUILD_GOLDEN_SHA256[ell]
 
 
+# Pinned `simulate --trials 100` stdout per seed for the toy design at ell 3
+# (channel over F_4) and ell 4 (over F_5): every channel draw, its verified
+# rank and the weight audit feed these reports.
+SIMULATE_GOLDEN_SHA256 = {
+    (3, 0): "a5770bea1c7736c1d9793c8373ca1c2d06a3eb1f1c0d1d3c4b0196e80dc40adb",
+    (3, 1): "82d080d5a86ba0356749072d4840e05a1dc79c1fbf427d2b00bbda747604c817",
+    (3, 2): "685d1a0813fee3c616cf22c75e866220422fa5702d1cfde47dd30742b1e0b56a",
+    (3, 3): "c5cc5365d5aae3c2a0f7110095a6e1a61406f2c4c1d3483adad8ea42e67c6e79",
+    (4, 0): "9e9122a408bdfb4fa08707400cf63b7a269fc4ee4bd283aae96dadf81dd1a5de",
+    (4, 1): "e60277b62c01b652049ecf3f58523ae6934ff40a22b7d60a58e33db6291db1fb",
+    (4, 2): "ab909be88a604dde831a40a8e60e200d32f7ef0d7a38fc4d37be7c31c7aad3c9",
+    (4, 3): "29d8e5772f5755528c96efe0d54f052bc3b5bcd25693e1e0538f6c96b2e505b3",
+}
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_simulate_golden(ell, toy_instance, tmp_path, capsys):
+    design_path = tmp_path / "design.json"
+    assert main(["design", toy_instance, "--ell", str(ell), "--out", str(design_path)]) == 0
+    capsys.readouterr()
+    for seed in range(4):
+        assert main(["simulate", str(design_path), "--trials", "100", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN_SHA256[ell, seed]
+
+
 def test_design_table_sweep(toy_instance, tmp_path, capsys):
     out_file = tmp_path / "table.json"
     rc = main(["tables", toy_instance, "--lmax", "4", "--out", str(out_file)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lrsnet import constraints
 from lrsnet.constraints import (
     ConditionReport,
     SupportConstraint,
@@ -283,6 +284,49 @@ def test_planted_patterns_at_large_k():
     assert cover_dimension(bad) == k + 1
     with pytest.raises(ValueError, match=r"\(5, 17, 40\)"):
         complete_zero_sets(bad)
+
+
+def test_matching_skips_columns_whose_neighbours_failed(monkeypatch):
+    # the toy access structure at ~2 * 10^5 columns: all but 17 columns share
+    # their neighbours, so each matching needs few augmenting searches
+    sc = derive_zero_sets(TOY_ACCESS, TOY_LENGTHS, (200000, 7, 2, 8))
+    adj = constraints._support(sc)
+    calls = []
+    real = constraints._augment
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(constraints, "_augment", counted)
+    for mask in sc.masks():
+        calls.clear()
+        constraints._matching(adj, mask, 0)
+        distinct = {adj[c] for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
+        assert len(calls) <= len(distinct) + sc.k
+    # a row of message 4 vanishes on source 1's columns, which match only
+    # into the 6 rows of messages 1-3
+    assert cover_dimension(sc) == sc.k + 200000 - 6
+
+
+def _full_scan_matching(adj, cols, barred):
+    row_of, col_of = {}, {}
+    for c in range(len(adj)):
+        if cols >> c & 1:
+            constraints._augment(adj, row_of, col_of, c, barred)
+    return row_of, col_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matching_equals_full_scan(data):
+    # few distinct neighbour sets over many columns, so skips are common
+    k = data.draw(st.integers(1, 6))
+    kinds = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4))
+    adj = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30))
+    cols = data.draw(st.integers(0, (1 << len(adj)) - 1))
+    barred = data.draw(st.integers(0, (1 << k) - 1))
+    assert constraints._matching(adj, cols, barred) == _full_scan_matching(adj, cols, barred)
 
 
 def test_completion_of_empty_square_pattern_is_equality_system():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrsnet.gf import FieldTower, make_field, mat_det, mat_inv, mat_mul, mat_rank
+from lrsnet.gf import (
+    FieldTower,
+    _eliminate,
+    make_field,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_rank,
+)
 
 
 # Independent micro-oracle for F_9 used to freeze expected values: residues
@@ -413,10 +421,11 @@ def test_inv_matches_power(tower, data):
 # Elimination (rank, determinant, inverse) against oracles that do no
 # elimination: row-span sizes, Leibniz determinants and nonzero minors.
 # Towers: prime q, p = 2 on the carry-less path (order past the log tables),
-# and odd p with e >= 2 on the log-table and the generic multiplication path.
+# odd p with e >= 2 on the log-table and the generic multiplication path, and
+# F_4, the channel's base field, with p = 2 and e = 2.
 
 LINALG_TOWERS = [make_field(5, 1, 2), make_field(2, 1, 17),
-                 make_field(3, 2, 2), make_field(3, 2, 6)]
+                 make_field(3, 2, 2), make_field(3, 2, 6), make_field(2, 2, 1)]
 _tower_ids = [repr(t) for t in LINALG_TOWERS]
 _linalg_settings = settings(max_examples=40, deadline=None)
 
@@ -475,6 +484,67 @@ def test_base_matrix_rank_matches_span_size(tower, data):
         span = {tuple(tower.base_add(x, tower.base_mul(c, y)) for x, y in zip(v, row))
                 for v in span for c in range(tower.q)}
     assert tower.q ** tower.base_matrix_rank(np.array(rows)) == len(span)
+
+
+@st.composite
+def _shaped_matrices(draw, q, max_side=12):
+    """F_q matrices up to max_side x max_side, tall or wide, with zero rows
+    and columns, all-zero inputs and rows that repeat or combine others."""
+    nrows = draw(st.integers(1, max_side))
+    ncols = draw(st.integers(1, max_side))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q - 1))
+    flat = draw(st.one_of(st.just([0] * (nrows * ncols)),
+                          st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols)))
+    M = np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+    if draw(st.booleans()):
+        M[draw(st.integers(0, nrows - 1))] = 0
+    if draw(st.booleans()):
+        M[:, draw(st.integers(0, ncols - 1))] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        dst, src = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        M[dst] = M[src]
+    return M
+
+
+def _oracle_rank(tower, M):
+    rows = [list(map(int, r)) for r in M]
+    return len(_eliminate(rows, M.shape[1], tower.base_inv, tower.base_mul, tower.base_sub)[0])
+
+
+# one tower per base field: the numpy F_q kernel on its mod-p route (F_2,
+# F_5, and a prime past int64 residues) and on its table route (F_4, F_8,
+# F_9), against the list elimination
+RANK_TOWERS = [make_field(2), make_field(5), make_field(2147483659),
+               make_field(2, 2), make_field(2, 3), make_field(3, 2)]
+
+
+@pytest.mark.parametrize("tower", RANK_TOWERS, ids=[repr(t) for t in RANK_TOWERS])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_base_matrix_rank_matches_list_elimination(tower, data):
+    M = data.draw(_shaped_matrices(tower.q))
+    if data.draw(st.booleans()) and M.shape[0] >= 2:
+        # a last row combining the others
+        coeffs = data.draw(st.lists(st.integers(0, tower.q - 1),
+                                    min_size=M.shape[0] - 1, max_size=M.shape[0] - 1))
+        rows = _with_dependent_row([list(map(int, r)) for r in M[:-1]] + [[0] * M.shape[1]],
+                                   coeffs, tower.base_add, tower.base_mul)
+        M = np.array(rows, dtype=np.int64)
+    want = _oracle_rank(tower, M)
+    assert tower.base_matrix_rank(M) == want
+    assert tower.base_matrix_rank(M.T) == want
+    assert tower.base_matrix_rank(M.tolist()) == want
+
+
+def test_base_matrix_rank_empty_and_fixed():
+    F4 = make_field(2, 2, 1)
+    assert F4.base_matrix_rank([]) == 0
+    assert F4.base_matrix_rank(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert F4.base_matrix_rank(np.zeros((5, 7), dtype=np.int64)) == 0
+    assert F4.base_matrix_rank(np.eye(6, dtype=np.int64)) == 6
+    # x * (1, x) = (x, x + 1) with x^2 = x + 1: rows 1 and 2 are dependent
+    assert F4.base_matrix_rank([[1, 2], [2, 3], [0, 1]]) == 2
+    assert F4.base_matrix_rank([[1, 2], [2, 3]]) == 1
 
 
 @pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)

@@ -8,7 +8,7 @@ import pytest
 
 from lrsnet.constraints import cover_dimension, derive_zero_sets
 from lrsnet.construct import verify_support
-from lrsnet.gf import make_field, mat_mul, mat_rank
+from lrsnet.gf import _eliminate, make_field, mat_mul, mat_rank, prime_power
 from lrsnet.netsim import (
     ChannelRealization,
     DesignResult,
@@ -322,6 +322,18 @@ def test_sample_channel_rank_bounds():
     assert np.array_equal(a.A, b.A) and np.array_equal(a.E, b.E)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_sample_channel_reports_verified_rank(q):
+    # rank_A is the rank the sampler checked; the list elimination agrees
+    tower = make_field(*prime_power(q))
+    for seed in range(60):
+        ch = sample_channel(n=9, N=10, M=12, t=2, rho=2, q=q, seed=seed)
+        rows = [list(map(int, r)) for r in ch.A]
+        oracle = len(_eliminate(rows, 9, tower.base_inv, tower.base_mul, tower.base_sub)[0])
+        assert ch.rank_A == oracle
+        assert audit_weights(ch, OrderedPartition((5, 5)), OrderedPartition((5, 4)))["rank_A"] == oracle
+
+
 def test_sample_channel_requires_enough_packets():
     with pytest.raises(ValueError, match="at least"):
         sample_channel(n=6, N=3, M=8, t=0, rho=1, q=3)
@@ -330,7 +342,7 @@ def test_sample_channel_requires_enough_packets():
 def test_transmit_identity_and_linearity():
     ch = ChannelRealization(A=np.eye(4, dtype=np.int64),
                             E=np.zeros((4, 6), dtype=np.int64),
-                            q=3, n=4, t=0, rho=0, seed=0)
+                            q=3, n=4, t=0, rho=0, seed=0, rank_A=4)
     X = np.arange(24).reshape(4, 6) % 3
     assert np.array_equal(transmit(X, ch), X)
     ch2 = sample_channel(4, 4, 6, 1, 0, 3, seed=9)
@@ -356,7 +368,7 @@ def test_transmit_over_f4_matches_entrywise_oracle():
             want[i, j] = acc
     assert np.array_equal(transmit(X, ch), want)
     ident = ChannelRealization(A=np.eye(5, dtype=np.int64), E=np.zeros((5, 7), dtype=np.int64),
-                               q=4, n=5, t=0, rho=0, seed=0)
+                               q=4, n=5, t=0, rho=0, seed=0, rank_A=5)
     assert np.array_equal(transmit(X, ident), X)
 
 
@@ -366,7 +378,7 @@ def test_audit_weights_reports():
     assert rep["erasure_ok"] and rep["error_ok"]
     zero = ChannelRealization(A=np.eye(8, dtype=np.int64),
                               E=np.zeros((8, 8), dtype=np.int64),
-                              q=3, n=8, t=0, rho=0, seed=0)
+                              q=3, n=8, t=0, rho=0, seed=0, rank_A=8)
     rep0 = audit_weights(zero, OrderedPartition((4, 4)), OrderedPartition((4, 4)))
     assert rep0["wtsr_E"] == 0 and rep0["rank_A"] == 8
 
