@@ -3,7 +3,8 @@ channel simulation and table sweeps.
 
 Exit codes: 0 on success (condition holds / build succeeded), 1 when a
 condition check fails or synthesis gives up, 2 on usage or parse errors.
-Every run is reproducible from its arguments and --seed; reports embed both.
+Every run is reproducible from its arguments and --seed; the JSON reports of
+construct and simulate embed the seed (tables takes no seed).
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def cmd_construct(args) -> int:
         part = OrderedPartition(tuple(int(x) for x in args.parts.split(",")))
         if part.n != sc.n:
             raise ValueError("--parts must sum to the pattern length")
+        if args.ell not in (None, part.ell):
+            raise ValueError(f"--ell {args.ell} does not match the {part.ell} blocks of --parts")
     else:
-        part = even_partition(sc.n, args.ell)
+        part = even_partition(sc.n, 1 if args.ell is None else args.ell)
     report = check_condition(sc)
     if not report.holds and not args.subcode:
         print(json.dumps({"holds": False,
@@ -123,7 +126,7 @@ def cmd_tables(args) -> int:
     inst = NetworkInstance.from_json(_read(args.instance))
     rows = []
     for ell in range(1, args.lmax + 1):
-        res = build_distributed_code(replace(inst, ell=ell), seed=args.seed, build_code=False)
+        res = build_distributed_code(replace(inst, ell=ell), build_code=False)
         rows.append({
             "ell": ell, "q": res.q, "m": res.m,
             "n": res.n, "cover_dim": res.cover_dim, "distance": res.distance,
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="synthesize a constrained generator")
     p_con.add_argument("pattern")
     p_con.add_argument("--n", type=int, required=True)
-    p_con.add_argument("--ell", type=int, default=1, help="number of blocks")
+    p_con.add_argument("--ell", type=int, help="number of blocks (default 1, or those of --parts)")
     p_con.add_argument("--parts", help="explicit comma-separated block lengths")
     p_con.add_argument("--q", type=int, help="field base size (with --m)")
     p_con.add_argument("--m", type=int, help="extension degree (with --q)")
@@ -211,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("tables", help="reproduce the design table sweep")
     p_tab.add_argument("instance")
     p_tab.add_argument("--lmax", type=int, default=4)
-    p_tab.add_argument("--seed", type=int, default=0)
     p_tab.add_argument("--out")
     p_tab.set_defaults(func=cmd_tables)
 

@@ -78,83 +78,62 @@ class NetworkInstance:
         }, sort_keys=True)
 
 
-def _subset_constraints(inst: NetworkInstance):
-    """(source cover mask, zero-pattern demand) per nonempty message subset."""
-    out = []
-    for omega_bits in range(1, 1 << inst.h):
-        omega = {g for g in range(1, inst.h + 1) if omega_bits >> (g - 1) & 1}
-        rsum = sum(inst.lengths[g - 1] for g in omega)
-        cover = 0
-        for idx, a in enumerate(inst.access):
-            if a & omega:
-                cover |= 1 << idx
-        # ell >= 1, so this dominates the capacity demand rsum + 2t + rho
-        out.append((cover, rsum + 2 * inst.ell * inst.t + inst.rho))
-    return out
-
-
 def design_lengths(inst: NetworkInstance):
-    """Minimize the total encoded length under the zero-pattern subset
-    constraints; depth-first branch and bound with the residual-demand
-    relaxation, ties broken by the lexicographically smallest tuple."""
+    """Minimize the total encoded length n under the zero-pattern subset
+    constraints; return the per-source lengths and n.
+
+    A message subset Omega asks the sources that see it for at least
+    r(Omega) + 2*ell*t + rho symbols, so each distinct source cover keeps
+    the largest such demand.  Targets n go upward from the largest demand
+    (and from ell, one symbol per block).  For each target the search gives
+    sources in index order lengths from 0 upward, the last source taking
+    what is left, so it meets the tuples of sum n in lexicographic order.
+    A branch is cut only when no completion can be feasible: a cover that
+    is still short has no later source, or its shortfall exceeds what is
+    left.  The first tuple found is therefore the lexicographically least
+    optimum."""
     if inst.h > _DESIGN_GUARD or inst.s > _DESIGN_GUARD:
         raise ValueError(f"instance beyond the design guard of {_DESIGN_GUARD}")
-    # each demand is a sum over the sources meeting the subset; every message
-    # has a source, so no cover is empty
+    serving = [sum(1 << j for j, a in enumerate(inst.access) if g in a)
+               for g in range(1, inst.h + 1)]
     demands = {}
-    for cover, demand in _subset_constraints(inst):
-        demands[cover] = max(demands.get(cover, 0), demand)
-    packed = sorted(demands.items())
+    for omega in range(1, 1 << inst.h):
+        cover = need = 0
+        for g in range(inst.h):
+            if omega >> g & 1:
+                cover |= serving[g]
+                need += inst.lengths[g]
+        # ell >= 1, so this dominates the capacity demand r + 2t + rho;
+        # every message has a source, so no cover is empty
+        need += 2 * inst.ell * inst.t + inst.rho
+        demands[cover] = max(demands.get(cover, 0), need)
     s = inst.s
     # no demand exceeds k + 2*ell*t + rho, so no optimum needs a longer
     # source unless the ell blocks alone force n up to ell
     cap = max(inst.k + 2 * inst.ell * inst.t + inst.rho, inst.ell)
-    lower = max(max(d for _, d in packed), inst.ell)  # n >= ell blocks
 
-    best = None
+    def search(i, unmet, left):
+        # unmet: (cover, demand still unmet) for the covers still short; each
+        # holds a source >= i and asks for at most `left` more symbols
+        if i == s - 1:
+            return (left,) if left <= cap else None
+        bit = 1 << i
+        # a cover that only source i can still serve bounds it from below; a
+        # cover without source i leaves its shortfall to the sources after
+        # it, which bounds source i from above
+        low = max((u for c, u in unmet if c >> i == 1), default=0)
+        high = min(cap, left - max((u for c, u in unmet if not c & bit), default=0))
+        for v in range(low, high + 1):
+            rest = search(i + 1, [(c, u - v) if c & bit else (c, u)
+                                  for c, u in unmet if not (c & bit and u <= v)], left - v)
+            if rest is not None:
+                return (v,) + rest
+        return None
 
-    def feasible(target):
-        lengths = [0] * s
-
-        def dfs(i, remaining):
-            nonlocal best
-            if i == s - 1:
-                if remaining > cap:
-                    return False
-                lengths[i] = remaining
-                ok = all(
-                    sum(lengths[j] for j in range(s) if cover >> j & 1) >= demand
-                    for cover, demand in packed)
-                if ok:
-                    best = tuple(lengths)
-                lengths[i] = 0
-                return ok
-            free_mask = ((1 << s) - 1) ^ ((1 << (i + 1)) - 1)
-            for v in range(0, min(cap, remaining) + 1):
-                lengths[i] = v
-                dead = False
-                need_extra = 0
-                for cover, demand in packed:
-                    have = sum(lengths[j] for j in range(i + 1) if cover >> j & 1)
-                    residual = demand - have
-                    if residual > 0:
-                        if cover & free_mask == 0:
-                            dead = True
-                            break
-                        need_extra = max(need_extra, residual)
-                if not dead and need_extra <= remaining - v:
-                    if dfs(i + 1, remaining - v):
-                        lengths[i] = 0
-                        return True
-                lengths[i] = 0
-            return False
-
-        return dfs(0, target)
-
-    target = lower
-    while not feasible(target):
-        target += 1
-    return best, target
+    n = max(max(demands.values()), inst.ell)
+    while (lengths := search(0, list(demands.items()), n)) is None:
+        n += 1
+    return lengths, n
 
 
 def even_partition(n: int, ell: int) -> OrderedPartition:
@@ -351,9 +330,9 @@ def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
     tower = make_field(p, e, 1)
     ell = row_partition.ell
     rank_A = ch.rank_A
-    wtsr_A = sumrank.sum_rank_weight_matrix(tower, ch.A, col_partition, "columns")
+    wtsr_A = sumrank.sum_rank_weight_matrix(tower, ch.A, col_partition)
     rank_E = tower.base_matrix_rank(ch.E)
-    wtsr_E = sumrank.sum_rank_weight_matrix(tower, ch.E, row_partition, "rows")
+    wtsr_E = sumrank.sum_rank_weight_matrix(tower, ch.E.T, row_partition)
     return {
         "rank_A": rank_A,
         "wtsr_A": wtsr_A,

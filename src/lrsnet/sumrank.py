@@ -94,21 +94,14 @@ def sum_rank_distance(tower: FieldTower, x, y, part: OrderedPartition) -> int:
     return sum_rank_weight(tower, diff, part)
 
 
-def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition,
-                           orientation: str = "columns") -> int:
-    """Sum of block ranks of an F_q matrix partitioned column- or row-wise."""
+def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition) -> int:
+    """Sum of the ranks of the column blocks of an F_q matrix.  A block has
+    the rank of its transpose, so a row-partitioned matrix is passed
+    transposed."""
     mat = np.asarray(mat)
-    if orientation == "columns":
-        if mat.ndim != 2 or mat.shape[1] != part.n:
-            raise ValueError("column count does not match partition")
-        blocks = (mat[:, a:b] for a, b in part.slices())
-    elif orientation == "rows":
-        if len(mat) != part.n:
-            raise ValueError("row count does not match partition")
-        blocks = (mat[a:b] for a, b in part.slices())
-    else:
-        raise ValueError("orientation must be 'columns' or 'rows'")
-    return sum(tower.base_matrix_rank(b) for b in blocks)
+    if mat.ndim != 2 or mat.shape[1] != part.n:
+        raise ValueError("column count does not match partition")
+    return sum(tower.base_matrix_rank(mat[:, a:b]) for a, b in part.slices())
 
 
 # ----------------------------------------------------------------------

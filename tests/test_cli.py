@@ -325,6 +325,23 @@ def test_construct_parts_mismatch_exit_code(tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+def test_construct_ell_must_match_parts(tmp_path, capsys):
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    rc = main(["construct", str(path), "--n", "4", "--ell", "3", "--parts", "2,2",
+               "--q", "3", "--m", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--ell 3" in captured.err and "2 blocks" in captured.err
+    assert captured.out == ""
+    # without --ell the blocks are those of --parts; with neither, one block
+    assert main(["construct", str(path), "--n", "4", "--parts", "2,2", "--q", "3",
+                 "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["parts"] == [2, 2]
+    assert main(["construct", str(path), "--n", "4", "--q", "3", "--m", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["parts"] == [4]
+
+
 @pytest.mark.parametrize("ell", ["0", "-1"])
 def test_construct_rejects_nonpositive_ell(ell, tmp_path, capsys):
     path = tmp_path / "micro.pattern"

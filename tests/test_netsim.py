@@ -1,5 +1,6 @@
 """Design ILP, distributed code assembly, lifting and the channel."""
 
+import hashlib
 import itertools
 import random
 
@@ -115,20 +116,93 @@ def test_design_optimality_against_exhaustion():
         assert brute == n
 
 
+def compositions(total, parts):
+    """Tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 def test_design_lex_tie_break():
     lengths, n = design_lengths(TOY)
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
     feasible = [cand for cand in compositions(n, 4)
                 if recheck_constraints(TOY, cand)]
     assert lengths == min(feasible)
+
+
+def random_design_instance(rng, most=6):
+    """A seeded instance with h, s <= most, t, rho in {0, 1, 2} and ell in
+    1..4; access sets may be empty, and an unseen message joins a random
+    source."""
+    h, s = rng.randint(1, most), rng.randint(1, most)
+    access = [frozenset(rng.sample(range(1, h + 1), rng.randint(0, h))) for _ in range(s)]
+    for g in range(1, h + 1):
+        if not any(g in a for a in access):
+            j = rng.randrange(s)
+            access[j] = access[j] | {g}
+    return NetworkInstance(h=h, lengths=tuple(rng.randint(1, 3) for _ in range(h)),
+                           access=tuple(access), t=rng.randint(0, 2), rho=rng.randint(0, 2),
+                           ell=rng.randint(1, 4))
+
+
+# SHA-256 over the instance JSON and `design_lengths` answer of 300 seeded
+# random instances (h, s <= 6), recorded on the branch-and-bound that
+# re-summed every subset row per candidate length.
+DESIGN_GOLDEN_SHA256 = "bc08c82bdbb6ba0a85fd1c9503f86d9dd147af0efd4ecd63b7855ab505cfc2ec"
+
+
+def test_design_lengths_golden():
+    rng = random.Random(2014)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        inst = random_design_instance(rng)
+        lengths, n = design_lengths(inst)
+        digest.update(f"{inst.to_json()} {lengths} {n}\n".encode())
+    assert digest.hexdigest() == DESIGN_GOLDEN_SHA256
+
+
+def sparse_design_instance(seed, h, s):
+    """Sparse instance: each source sees two or three messages, t = rho = 1,
+    ell = 2."""
+    rng = random.Random(seed)
+    r = [rng.randint(1, 3) for _ in range(h)]
+    S = [sorted(rng.sample(range(1, h + 1), rng.randint(2, 3))) for _ in range(s)]
+    for g in range(1, h + 1):
+        if not any(g in a for a in S):
+            S[rng.randrange(s)].append(g)
+    return NetworkInstance(h=h, lengths=tuple(r), access=tuple(S), t=1, rho=1, ell=2)
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, ((6, 7, 0, 0, 0, 2, 5, 7), 27)),
+    (1, ((2, 0, 1, 8, 5, 0, 7, 6), 29)),
+    (2, ((0, 2, 3, 6, 3, 3, 1, 3), 21)),
+])
+def test_design_lengths_sparse_eight_by_eight(seed, expected):
+    inst = sparse_design_instance(seed, 8, 8)
+    assert design_lengths(inst) == expected
+    assert recheck_constraints(inst, expected[0])
+
+
+def test_design_lengths_first_feasible_composition():
+    # oracle: the first composition, in lexicographic order, of the least
+    # total that `recheck_constraints` accepts; the total starts at the
+    # all-message demand k + 2*ell*t + rho (or ell, one symbol per block)
+    rng = random.Random(12)
+    for _ in range(200):
+        inst = random_design_instance(rng, most=4)
+        n = max(inst.k + 2 * inst.ell * inst.t + inst.rho, inst.ell)
+        while True:
+            first = next((cand for cand in compositions(n, inst.s)
+                          if recheck_constraints(inst, cand)), None)
+            if first is not None:
+                break
+            n += 1
+        assert design_lengths(inst) == (first, n)
 
 
 def test_designed_lengths_meet_every_capacity():

@@ -95,16 +95,6 @@ def test_matrix_weight_rank_one_bounds():
         assert 1 <= w <= 3
 
 
-def test_matrix_weight_row_orientation():
-    rng = random.Random(3)
-    part = OrderedPartition((2, 2))
-    for _ in range(20):
-        M = [[rng.randrange(3) for _ in range(3)] for _ in range(4)]
-        Mt = [list(col) for col in zip(*M)]
-        assert (sum_rank_weight_matrix(F9, M, part, "rows")
-                == sum_rank_weight_matrix(F9, Mt, part, "columns"))
-
-
 def test_rank_sumrank_sandwich_for_matrices():
     rng = random.Random(4)
     for _ in range(50):
