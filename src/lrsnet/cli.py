@@ -108,10 +108,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if args.seed is not None and not args.build:
+        raise ValueError("--seed only seeds the synthesis of --build")
     inst = NetworkInstance.from_json(_read(args.instance))
     if args.ell is not None:
         inst = replace(inst, ell=args.ell)
-    res = build_distributed_code(inst, seed=args.seed, build_code=args.build)
+    res = build_distributed_code(inst, seed=args.seed or 0, build_code=args.build)
     text = res.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -152,7 +154,7 @@ def cmd_simulate(args) -> int:
     n = res.n
     stats = weight_statistics(
         q=res.q, ell=inst.ell, t=inst.t, row_parts=res.parts,
-        M=n + res.m, trials=args.trials, seed=args.seed, n=n, rho=inst.rho)
+        M=n + res.m, trials=args.trials, seed=args.seed, rho=inst.rho)
     doc = {
         "design": {"n": n, "k": res.k, "cover_dim": res.cover_dim,
                    "distance": res.distance, "q": res.q, "m": res.m},
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.add_argument("--ell", type=int, help="override the block count")
     p_des.add_argument("--build", action="store_true",
                        help="also synthesize the constrained code")
-    p_des.add_argument("--seed", type=int, default=0)
+    p_des.add_argument("--seed", type=int, help="synthesis seed for --build (default 0)")
     p_des.add_argument("--out")
     p_des.set_defaults(func=cmd_design)
 

@@ -56,6 +56,13 @@ class ConstrainedCode:
         return self.code.k
 
 
+def _zero_set_polynomial(tower: FieldTower, locs, zero_set) -> SkewPoly:
+    """Minimal polynomial of the zero set's locators (1 for the empty set)."""
+    if not zero_set:
+        return SkewPoly.one(tower)
+    return minimal_polynomial(tower, [locs[j - 1] for j in sorted(zero_set)])
+
+
 def row_transform(code: LrsCode, sc: SupportConstraint) -> list:
     """Square matrix whose row i holds the minimal-polynomial coefficients of
     row i's forbidden locators (zero sets completed to size k-1)."""
@@ -65,12 +72,8 @@ def row_transform(code: LrsCode, sc: SupportConstraint) -> list:
     for z in sc.zero_sets:
         if len(z) != k - 1:
             raise ValueError("zero sets must be completed to size k-1 first")
-        if z:
-            poly = minimal_polynomial(code.tower, [locs[j - 1] for j in sorted(z)])
-        else:
-            poly = SkewPoly.one(code.tower)
-        coeffs = list(poly.coeffs) + [0] * (k - len(poly.coeffs))
-        rows.append(coeffs)
+        coeffs = list(_zero_set_polynomial(code.tower, locs, z).coeffs)
+        rows.append(coeffs + [0] * (k - len(coeffs)))
     return rows
 
 
@@ -87,6 +90,17 @@ def verify_support(G, sc: SupportConstraint) -> list:
             elif j not in z and entry == 0:
                 out.append((i + 1, j, "spurious-zero"))
     return out
+
+
+def _checked_rows(code: LrsCode, T, sc: SupportConstraint):
+    """The first sc.k rows of T * G_LRS (None if T is singular) and why they
+    break the code invariant (None if they hold): T is singular, or the rows
+    are not zero exactly on sc's zero sets."""
+    if gf.mat_det(code.tower, T) == 0:
+        return None, "transform is singular"
+    G = gf.mat_mul(code.tower, T[:sc.k], lrs.generator_matrix(code))
+    mismatches = verify_support(G, sc)
+    return G, f"matrix does not match the zero sets: {mismatches[:3]}" if mismatches else None
 
 
 def _random_multipliers(tower: FieldTower, part: OrderedPartition, rng) -> tuple:
@@ -125,13 +139,8 @@ def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
             multipliers = _random_multipliers(tower, part, rng)
         code = lrs.make_code(tower, part, k, reps=reps, multipliers=multipliers)
         T = row_transform(code, completed)
-        if gf.mat_det(tower, T) == 0:
-            last_reason = "singular row transform"
-            continue
-        G = gf.mat_mul(tower, T, lrs.generator_matrix(code))
-        mismatches = verify_support(G, completed)
-        if mismatches:
-            last_reason = f"support mismatch {mismatches[:3]}"
+        G, last_reason = _checked_rows(code, T, completed)
+        if last_reason:
             continue
         return ConstrainedCode(
             code=code, sc=completed,
@@ -152,8 +161,6 @@ def subcode_generator(tower: FieldTower, part: OrderedPartition, k: int,
     ktil = cover_dimension(sc)
     if ktil > sc.n:
         raise ValueError(f"cover dimension {ktil} exceeds the length {sc.n}; infeasible")
-    if ktil == k:
-        return synthesize(tower, part, k, sc, seed=seed, budget=budget)
     padded = SupportConstraint(
         sc.n, ktil, sc.zero_sets + (frozenset(),) * (ktil - k))
     full = synthesize(tower, part, ktil, padded, seed=seed, budget=budget)
@@ -190,12 +197,7 @@ def skew_mult_matrix(u: SkewPoly, rows: int, cols: int) -> list:
 def shifted_zero_set_polynomial(code: LrsCode, zero_set, shift: int) -> SkewPoly:
     """X^shift times the minimal polynomial of the zero set's locators."""
     t = code.tower
-    locs = lrs.locators(code)
-    if zero_set:
-        poly = minimal_polynomial(t, [locs[j - 1] for j in sorted(zero_set)])
-    else:
-        poly = SkewPoly.one(t)
-    return SkewPoly.x_power(t, shift) * poly
+    return SkewPoly.x_power(t, shift) * _zero_set_polynomial(t, lrs.locators(code), zero_set)
 
 
 def constraint_matrix_rank(code: LrsCode, specs, k: int):
@@ -312,12 +314,10 @@ def from_json(text: str) -> ConstrainedCode:
         raise ValueError(f"transform is not {ktil} x {ktil}")
     if k > ktil or len(G) != k or any(len(r) != part.n for r in G):
         raise ValueError(f"matrix is not {k} x {part.n} with k <= cover_dim = {ktil}")
-    if gf.mat_det(tower, T) == 0:
-        raise ValueError("transform is singular")
-    if [list(r) for r in G] != gf.mat_mul(tower, T, lrs.generator_matrix(code))[:k]:
-        raise ValueError("matrix is not the first k rows of transform * LRS generator")
-    mismatches = verify_support(G, sc)
-    if mismatches:
-        raise ValueError(f"matrix does not match the zero sets: {mismatches[:3]}")
+    rows, reason = _checked_rows(code, T, sc)
+    if rows is not None and [list(r) for r in G] != rows:
+        reason = "matrix is not the first k rows of transform * LRS generator"
+    if reason:
+        raise ValueError(reason)
     return ConstrainedCode(code=code, sc=sc, transform=T, matrix=G,
                            attempts=doc["attempts"])

@@ -262,18 +262,16 @@ def lift(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One channel draw Y = A X + E over F_q.  `rank_A` is the F_q-rank of A
-    that `sample_channel` verified (n - rho_eff), so the audit reports it
-    without eliminating A again; a hand-built realization must pass A's
-    true rank."""
+    """One channel draw Y = A X + E over F_q, the base field of `tower`.
+    `rank_A` is the F_q-rank of A that `sample_channel` verified
+    (n - rho_eff), so the audit reports it without eliminating A again; a
+    hand-built realization must pass A's true rank."""
 
     A: np.ndarray      # N x n transfer matrix over F_q
     E: np.ndarray      # N x M error matrix over F_q
-    q: int
-    n: int
+    tower: FieldTower  # make_field(p, e, 1): F_q = F_{p^e} itself
     t: int
     rho: int
-    seed: int
     rank_A: int        # F_q-rank of A
 
 
@@ -288,14 +286,15 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     rank at most t; deterministic per seed."""
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
-    p, e = prime_power(q)
-    tower = make_field(p, e, 1)
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    tower = make_field(*pe, 1)
     rng = random.Random(seed)
     rho_eff = rng.randint(max(0, n - N), rho)
     deleted = rng.sample(range(n), rho_eff)
     while True:
-        R = _rand_matrix(rng, N, n, q)
-        A = R.copy()
+        A = _rand_matrix(rng, N, n, q)
         A[:, deleted] = 0
         rank_A = tower.base_matrix_rank(A)
         if rank_A == n - rho_eff:
@@ -307,7 +306,7 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
         E = tower.base_mat_mul(U, V)
     else:
         E = np.zeros((N, M), dtype=np.int64)
-    return ChannelRealization(A=A, E=E, q=q, n=n, t=t, rho=rho, seed=seed, rank_A=rank_A)
+    return ChannelRealization(A=A, E=E, tower=tower, t=t, rho=rho, rank_A=rank_A)
 
 
 def transmit(X, ch: ChannelRealization) -> np.ndarray:
@@ -315,19 +314,17 @@ def transmit(X, ch: ChannelRealization) -> np.ndarray:
     X = np.asarray(X, dtype=np.int64)
     if ch.A.shape[1] != X.shape[0] or ch.E.shape[1] != X.shape[1]:
         raise ValueError("shape mismatch between packets and channel")
-    p, e = prime_power(ch.q)
-    tower = make_field(p, e, 1)
+    tower = ch.tower
     AX = tower.base_mat_mul(ch.A, X)
-    if e == 1:
-        return (AX + ch.E) % ch.q
+    if tower.e == 1:
+        return (AX + ch.E) % tower.q
     return tower._base_numpy_tables()[0][AX, ch.E]
 
 
 def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
                   col_partition: OrderedPartition) -> dict:
     """Check the erasure and error weight bounds on one channel draw."""
-    p, e = prime_power(ch.q)
-    tower = make_field(p, e, 1)
+    tower = ch.tower
     ell = row_partition.ell
     rank_A = ch.rank_A
     wtsr_A = sumrank.sum_rank_weight_matrix(tower, ch.A, col_partition)
@@ -336,7 +333,7 @@ def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
     return {
         "rank_A": rank_A,
         "wtsr_A": wtsr_A,
-        "erasure_ok": rank_A >= ch.n - ch.rho and wtsr_A >= rank_A,
+        "erasure_ok": rank_A >= ch.A.shape[1] - ch.rho and wtsr_A >= rank_A,
         "rank_E": rank_E,
         "wtsr_E": wtsr_E,
         "error_ok": rank_E <= ch.t and wtsr_E <= ell * ch.t,
@@ -345,23 +342,21 @@ def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
 
 
 def weight_statistics(q: int, ell: int, t: int, row_parts, M: int,
-                      trials: int, seed: int = 0, n: int | None = None,
-                      rho: int = 0) -> dict:
+                      trials: int, seed: int = 0, rho: int = 0) -> dict:
     """Monte-Carlo audit over seeded channel draws.
 
+    Each draw sends as many packets as it receives, n = N = sum(row_parts).
     Reports the empirical frequency of the error weight bound being tight,
     conditioned on full error rank.
     """
     row_partition = OrderedPartition(row_parts)
     N = row_partition.n
-    if n is None:
-        n = N
-    col_partition = even_partition(n, ell)
+    col_partition = even_partition(N, ell)
     all_ok = True
     full_rank = 0
     tight = 0
     for i in range(trials):
-        ch = sample_channel(n, N, M, t, rho, q, seed=(seed << 20) ^ i)
+        ch = sample_channel(N, N, M, t, rho, q, seed=(seed << 20) ^ i)
         rep = audit_weights(ch, row_partition, col_partition)
         all_ok = all_ok and rep["erasure_ok"] and rep["error_ok"]
         if rep["rank_E"] == t:

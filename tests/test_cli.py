@@ -136,6 +136,22 @@ def test_design_toy(toy_instance, capsys):
     assert doc["parts"] == [8, 7, 8]
 
 
+def test_design_seed_requires_build(toy_instance, capsys):
+    # without --build nothing is synthesized, so a seed would change nothing
+    rc = main(["design", toy_instance, "--seed", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--build" in captured.err
+    assert captured.out == ""
+
+
+def test_design_build_seed_defaults_to_zero(toy_instance, capsys):
+    assert main(["design", toy_instance, "--build"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(["design", toy_instance, "--build", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
 # Pinned `design --build` outputs: the toy code over F_{4^10} (ell 3) and
 # F_{5^10} (ell 4), both past the log tables, so every product, inverse and
 # Frobenius power of the synthesis runs on the packed routes of `gf`.

@@ -285,6 +285,24 @@ def test_serialization_roundtrip():
     assert to_json(again) == text
 
 
+def test_serialization_roundtrip_of_true_subcode(monkeypatch):
+    # k = 2 rows of a cover_dim = 3 code: loading re-checks them against the
+    # first k rows of T * G_LRS and multiplies only those rows of T
+    cc = subcode_generator(F27, OrderedPartition((2, 2)), 2,
+                           SupportConstraint(4, 2, ({1}, {1})), seed=0)
+    assert (cc.sc.k, cc.cover_dim) == (2, 3)
+    shapes = []
+
+    def mat_mul_spy(tower, A, B):
+        shapes.append((len(A), len(B)))
+        return mat_mul(tower, A, B)
+
+    monkeypatch.setattr("lrsnet.gf.mat_mul", mat_mul_spy)
+    again = from_json(to_json(cc))
+    assert shapes == [(2, 3)]
+    assert (again.matrix, again.transform, again.sc) == (cc.matrix, cc.transform, cc.sc)
+
+
 def test_synthesis_attempt_counter_advances():
     # force failures by shrinking the budget to zero
     with pytest.raises(SynthesisError):

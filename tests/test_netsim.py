@@ -396,16 +396,31 @@ def test_sample_channel_rank_bounds():
     assert np.array_equal(a.A, b.A) and np.array_equal(a.E, b.E)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_sample_channel_reports_verified_rank(q):
-    # rank_A is the rank the sampler checked; the list elimination agrees
+    # rank_A is the rank the sampler checked; the list elimination agrees.
+    # The erasure half of the audit holds by construction: the sampler
+    # forces rank A = n - rho_eff >= n - rho, and the block ranks sum to at
+    # least the rank.
     tower = make_field(*prime_power(q))
     for seed in range(60):
         ch = sample_channel(n=9, N=10, M=12, t=2, rho=2, q=q, seed=seed)
+        assert ch.tower == tower
         rows = [list(map(int, r)) for r in ch.A]
         oracle = len(_eliminate(rows, 9, tower.base_inv, tower.base_mul, tower.base_sub)[0])
         assert ch.rank_A == oracle
-        assert audit_weights(ch, OrderedPartition((5, 5)), OrderedPartition((5, 4)))["rank_A"] == oracle
+        rep = audit_weights(ch, OrderedPartition((5, 5)), OrderedPartition((5, 4)))
+        assert rep["rank_A"] == oracle
+        assert 9 - 2 <= rep["rank_A"] <= rep["wtsr_A"] <= 9
+        assert rep["erasure_ok"]
+
+
+@pytest.mark.parametrize("q", [6, 1, 0])
+def test_sample_channel_rejects_non_prime_power(q):
+    with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+        sample_channel(4, 4, 6, 1, 0, q)
+    with pytest.raises(ValueError, match="not a prime power"):
+        weight_statistics(q=q, ell=2, t=1, row_parts=(2, 2), M=6, trials=1)
 
 
 def test_sample_channel_requires_enough_packets():
@@ -416,7 +431,7 @@ def test_sample_channel_requires_enough_packets():
 def test_transmit_identity_and_linearity():
     ch = ChannelRealization(A=np.eye(4, dtype=np.int64),
                             E=np.zeros((4, 6), dtype=np.int64),
-                            q=3, n=4, t=0, rho=0, seed=0, rank_A=4)
+                            tower=make_field(3), t=0, rho=0, rank_A=4)
     X = np.arange(24).reshape(4, 6) % 3
     assert np.array_equal(transmit(X, ch), X)
     ch2 = sample_channel(4, 4, 6, 1, 0, 3, seed=9)
@@ -426,23 +441,24 @@ def test_transmit_identity_and_linearity():
     assert np.array_equal(lhs, rhs)
 
 
-def test_transmit_over_f4_matches_entrywise_oracle():
-    # q = 4 = 2^2: F_4 addition is not addition mod 4
-    F4 = make_field(2, 2, 1)
-    ch = sample_channel(5, 6, 7, 2, 1, 4, seed=1)
+@pytest.mark.parametrize("q", [4, 9])
+def test_transmit_over_extension_matches_entrywise_oracle(q):
+    # q = 4 = 2^2 and q = 9 = 3^2: F_q addition is not addition mod q
+    Fq = make_field(*prime_power(q))
+    ch = sample_channel(5, 6, 7, 2, 1, q, seed=1)
     assert ch.E.any()
     rng = random.Random(4)
-    X = np.array([[rng.randrange(4) for _ in range(7)] for _ in range(5)], dtype=np.int64)
+    X = np.array([[rng.randrange(q) for _ in range(7)] for _ in range(5)], dtype=np.int64)
     want = np.zeros((6, 7), dtype=np.int64)
     for i in range(6):
         for j in range(7):
             acc = int(ch.E[i, j])
             for t in range(5):
-                acc = F4.base_add(acc, F4.base_mul(int(ch.A[i, t]), int(X[t, j])))
+                acc = Fq.base_add(acc, Fq.base_mul(int(ch.A[i, t]), int(X[t, j])))
             want[i, j] = acc
     assert np.array_equal(transmit(X, ch), want)
     ident = ChannelRealization(A=np.eye(5, dtype=np.int64), E=np.zeros((5, 7), dtype=np.int64),
-                               q=4, n=5, t=0, rho=0, seed=0, rank_A=5)
+                               tower=Fq, t=0, rho=0, rank_A=5)
     assert np.array_equal(transmit(X, ident), X)
 
 
@@ -452,7 +468,7 @@ def test_audit_weights_reports():
     assert rep["erasure_ok"] and rep["error_ok"]
     zero = ChannelRealization(A=np.eye(8, dtype=np.int64),
                               E=np.zeros((8, 8), dtype=np.int64),
-                              q=3, n=8, t=0, rho=0, seed=0, rank_A=8)
+                              tower=make_field(3), t=0, rho=0, rank_A=8)
     rep0 = audit_weights(zero, OrderedPartition((4, 4)), OrderedPartition((4, 4)))
     assert rep0["wtsr_E"] == 0 and rep0["rank_A"] == 8
 
