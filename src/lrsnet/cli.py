@@ -32,6 +32,17 @@ from .netsim import (
 from .sumrank import OrderedPartition, enumerable, min_distance_bruteforce
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        # random.Random(-s) seeds exactly like random.Random(s)
+        raise argparse.ArgumentTypeError(f"{seed} is negative; seeds are nonnegative")
+    return seed
+
+
 def _emit(doc: dict, out_path: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--m", type=int, help="extension degree (with --q)")
     p_con.add_argument("--subcode", action="store_true",
                        help="emit covering-code rows when the condition fails")
-    p_con.add_argument("--seed", type=int, default=0)
+    p_con.add_argument("--seed", type=_seed, default=0)
     p_con.add_argument("--out", help="write the code serialization here")
     p_con.set_defaults(func=cmd_construct)
 
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.add_argument("--ell", type=int, help="override the block count")
     p_des.add_argument("--build", action="store_true",
                        help="also synthesize the constrained code")
-    p_des.add_argument("--seed", type=int, help="synthesis seed for --build (default 0)")
+    p_des.add_argument("--seed", type=_seed, help="synthesis seed for --build (default 0)")
     p_des.add_argument("--out")
     p_des.set_defaults(func=cmd_design)
 
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo channel audit")
     p_sim.add_argument("design", help="design result JSON")
     p_sim.add_argument("--trials", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -275,17 +275,47 @@ class ChannelRealization:
     rank_A: int        # F_q-rank of A
 
 
+_RANDBELOW_TAIL = 24  # values left for which scalar draws beat one more bulk pass
+
+
+def _randbelow_array(rng, n, count):
+    """`[rng.randrange(n) for _ in range(count)]` as an int64 array, leaving
+    `rng` (a plain `random.Random`) in the same state; needs n < 2^32.
+
+    CPython's `randrange(n)` takes one 32-bit Mersenne Twister word per try,
+    keeps its top `n.bit_length()` bits and tries again while they are >= n.
+    `getrandbits(32 * w)` returns the next w words, the first one least
+    significant.  Each word gives at most one value, so drawing as many words
+    as values are still missing never reads past the scalar loop's words."""
+    shift = 32 - n.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    got = 0
+    while got < count:
+        need = count - got
+        if need <= _RANDBELOW_TAIL:
+            out[got:] = [rng.randrange(n) for _ in range(need)]
+            break
+        vals = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                             dtype="<u4") >> shift
+        vals = vals[vals < n]
+        out[got:got + vals.size] = vals
+        got += vals.size
+    return out
+
+
 def _rand_matrix(rng, rows, cols, q):
-    return np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)],
-                    dtype=np.int64)
+    return _randbelow_array(rng, q, rows * cols).reshape(rows, cols)
 
 
 def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
                    seed: int = 0) -> ChannelRealization:
     """Transfer matrix with at most rho deleted pivots and a factored error of
-    rank at most t; deterministic per seed."""
+    rank at most t; deterministic per seed.  Entries are drawn in bulk from
+    the words `randrange(q)` would read, so q < 2^32."""
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
+    if q >= 1 << 32:  # before prime_power, whose trial division would grind
+        raise ValueError(f"channel draws need q < 2^32; got q = {q}")
     pe = prime_power(q)
     if pe is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -391,7 +421,17 @@ def puncture(part: OrderedPartition, erased):
 
 def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
                            weight: int, rng) -> list:
-    """Error vector of exact sum-rank weight, built block by block."""
+    """Error vector of exact sum-rank weight, built block by block.
+
+    `rng` must be a plain `random.Random` (`SystemRandom` keeps no state to
+    rewind).  The blocks are drawn by rejection in growing batches, ranked in
+    one `sumrank.block_ranks` call each, and the first block of the wanted
+    rank is kept.  The stream is rewound to where drawing candidates one at a
+    time would have stopped, so the result and the state left in `rng` are
+    those of that scalar loop."""
+    if tower.order > gf._NUMPY_TABLE_MAX:
+        raise ValueError(f"error sampling needs q^m <= {gf._NUMPY_TABLE_MAX} "
+                         f"(gf._NUMPY_TABLE_MAX); got q^m = {tower.order}")
     capacities = [min(nl, tower.m) for nl in part.parts]
     if weight > sum(capacities):
         raise ValueError("weight exceeds the partition capacity")
@@ -402,15 +442,24 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
         if target[l] < capacities[l]:
             target[l] += 1
             left -= 1
+    add, mul = tower.numpy_tables()
     err = [0] * part.n
     for l, (a, b) in enumerate(part.slices()):
         if target[l] == 0:
             continue
+        s, batch = b - a, 8
         while True:
-            blk = [tower.random_element(rng) for _ in range(b - a)]
-            if tower.rank_over_base(blk) == target[l]:
-                err[a:b] = blk
+            state = rng.getstate()
+            blocks = _randbelow_array(rng, tower.order, batch * s).reshape(batch, s)
+            hits = np.flatnonzero(sumrank.block_ranks(tower, add, mul, blocks) == target[l])
+            if hits.size:
+                j = int(hits[0])
+                if j < batch - 1:
+                    rng.setstate(state)
+                    _randbelow_array(rng, tower.order, (j + 1) * s)
+                err[a:b] = blocks[j].tolist()
                 break
+            batch = min(4 * batch, 4096)
     return err
 
 

@@ -185,7 +185,7 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
     return best
 
 
-def _block_ranks(tower, add, mul, block):
+def block_ranks(tower, add, mul, block):
     """Vector of F_q-ranks of the base-field expansions of a B x s batch of
     blocks, by one Gaussian elimination run on all B matrices at once.
 
@@ -216,7 +216,7 @@ def _block_ranks(tower, add, mul, block):
 def _batch_weights(tower, add, mul, cw, part):
     total = np.zeros(cw.shape[0], dtype=np.int64)
     for a, b in part.slices():
-        total += _block_ranks(tower, add, mul, cw[:, a:b])
+        total += block_ranks(tower, add, mul, cw[:, a:b])
     return total
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 import time
 
@@ -142,6 +143,23 @@ def test_design_seed_requires_build(toy_instance, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "--build" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "23", "--seed", "-3"],
+    ["design", "--build", "--seed", "-3"],
+    ["simulate", "--trials", "5", "--seed", "-1"],
+], ids=["construct", "design", "simulate"])
+def test_negative_seed_exits_2(argv, toy_instance, capsys):
+    # random.Random(-s) seeds exactly like random.Random(s), so a negative
+    # seed would repeat the draws of its absolute value under another label
+    assert random.Random(-3).random() == random.Random(3).random()
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [toy_instance] + argv[1:])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "negative" in captured.err
     assert captured.out == ""
 
 

@@ -6,7 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lrsnet import gf
 from lrsnet.constraints import cover_dimension, derive_zero_sets
 from lrsnet.construct import verify_support
 from lrsnet.gf import _eliminate, make_field, mat_mul, mat_rank, prime_power
@@ -14,6 +17,7 @@ from lrsnet.netsim import (
     ChannelRealization,
     DesignResult,
     NetworkInstance,
+    _randbelow_array,
     audit_weights,
     build_distributed_code,
     design_lengths,
@@ -496,6 +500,66 @@ def test_puncture_and_exact_weight_errors():
             assert sum_rank_weight(F9, err, part) == w
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 5, 9, 81, 511, 2**31 - 1, 2**32 - 1]),
+       count=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+def test_randbelow_array_matches_randrange(n, count, seed):
+    bulk, scalar = random.Random(seed), random.Random(seed)
+    got = _randbelow_array(bulk, n, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == [scalar.randrange(n) for _ in range(count)]
+    assert bulk.random() == scalar.random()
+
+
+def _scalar_error_of_weight(tower, part, weight, rng):
+    """Oracle: one candidate block at a time, ranked by the list
+    elimination."""
+    capacities = [min(nl, tower.m) for nl in part.parts]
+    target = [0] * part.ell
+    left = weight
+    while left:
+        l = rng.randrange(part.ell)
+        if target[l] < capacities[l]:
+            target[l] += 1
+            left -= 1
+    err = [0] * part.n
+    for l, (a, b) in enumerate(part.slices()):
+        while target[l]:
+            blk = [tower.random_element(rng) for _ in range(b - a)]
+            if tower.rank_over_base(blk) == target[l]:
+                err[a:b] = blk
+                break
+    return err
+
+
+@pytest.mark.parametrize("pem", [(3, 1, 2), (2, 2, 2), (3, 1, 4), (2, 1, 5)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_error_of_weight_matches_scalar_draws(pem, data):
+    tower = make_field(*pem)
+    parts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    part = OrderedPartition(parts)
+    weight = data.draw(st.integers(0, sum(min(nl, tower.m) for nl in parts)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bulk, scalar = random.Random(seed), random.Random(seed)
+    assert (random_error_of_weight(tower, part, weight, bulk)
+            == _scalar_error_of_weight(tower, part, weight, scalar))
+    assert bulk.random() == scalar.random()
+
+
+def test_random_error_of_weight_rejects_towers_past_the_tables():
+    tower = make_field(2, 1, 10)  # order 1024
+    with pytest.raises(ValueError, match=f"q\\^m <= {gf._NUMPY_TABLE_MAX}"):
+        random_error_of_weight(tower, OrderedPartition((2, 2)), 1, random.Random(0))
+
+
+@pytest.mark.parametrize("q", [2**32, 2**61 - 1])
+def test_sample_channel_rejects_q_past_one_word(q):
+    # randrange(q) reads two 32-bit words per try from q = 2^32 on
+    with pytest.raises(ValueError, match="q < 2\\^32"):
+        sample_channel(4, 4, 6, 1, 0, q)
+
+
 def test_end_to_end_micro_with_erasure():
     from lrsnet.construct import synthesize
     from lrsnet.constraints import SupportConstraint
@@ -520,3 +584,62 @@ def test_designed_code_survives_frozen_node():
     for _ in range(20):
         assert end_to_end_trial(res.code, res.distance, error_weight=0,
                                 erasures=1, rng=rng)
+
+
+# Pinned seeded streams of the two samplers, recorded with the scalar
+# `randrange` draws: every error vector `random_error_of_weight` returns, up
+# to each partition's capacity, with the next `rng.random()` after it (so the
+# state it leaves is pinned too), and every channel `sample_channel` returns.
+ERROR_STREAM_SHA256 = {
+    ((3, 1, 2), (3, 3)):
+        "5183bd82fa75feaf135643bf57334b0a0cae4e239e935693b66f8c22c9e5c72f",
+    ((3, 1, 2), (2, 3, 1)):
+        "55765f262d1a56d3338aa2112938ff89029822ee64fe9959f73c3d7966eb73cb",
+    ((3, 1, 3), (3, 3)):
+        "13fd0430d733f429b7a76b4eaff595a2b6adfe7286ff61f3ced507efd2aff753",
+    ((3, 1, 3), (2, 3, 1)):
+        "556bbc59d1e280c03d8da1d478a04ab1151ad8fcf23cea31063bea9a4342f5a1",
+    ((3, 1, 4), (3, 3)):
+        "390367d5a68ca8a7e7c784a17521284156f7ec00de4c22df78ee6c4ab6fe224a",
+    ((3, 1, 4), (2, 3, 1)):
+        "4ceb5c2769f2f366647ee106fa71c3c55aee2292f3b71809da47cf0b069e5418",
+    ((2, 2, 2), (3, 3)):
+        "1166130aa1d2a97978dfc58ee7759b911a812a63b4efccf9f646a7a59cb768ea",
+    ((2, 2, 2), (2, 3, 1)):
+        "85d763c81044cf95f211fbcaba4252b999b3f9a6a1ba0fd00c9112c0db5afe55",
+}
+
+
+@pytest.mark.parametrize("pem,parts", sorted(ERROR_STREAM_SHA256))
+def test_random_error_stream_golden(pem, parts):
+    tower = make_field(*pem)
+    part = OrderedPartition(parts)
+    digest = hashlib.sha256()
+    for weight in range(sum(min(nl, tower.m) for nl in parts) + 1):
+        for seed in range(30):
+            rng = random.Random(seed)
+            err = random_error_of_weight(tower, part, weight, rng)
+            digest.update(repr((weight, seed, err, rng.random())).encode())
+    assert digest.hexdigest() == ERROR_STREAM_SHA256[pem, parts]
+
+
+# (n, N, M, t, rho) shapes, each drawn at seeds 0-19: the toy audit's shape,
+# a channel with more received than sent packets, and a small one
+CHANNEL_STREAM_SHAPES = [(23, 23, 33, 2, 2), (7, 9, 10, 3, 2), (4, 3, 5, 1, 1)]
+CHANNEL_STREAM_SHA256 = {
+    2: "8c9b9c9fcdc5d1d1a3a9fb4e8fc9e600c29953626d1847d1497cde4f84f3ee51",
+    3: "61723f902eff1998d03646b44ab99e96281f99383eebb8107f3257e43786b013",
+    5: "618384a7490b8d3f7c6b5f5a9c610c36f511a8dc75db85d26b209a9347a9b516",
+    9: "49a3f1a89fae2fa6a12434a00eba42d086f1b36a9f6074f6463666c909c619dc",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CHANNEL_STREAM_SHA256))
+def test_sample_channel_stream_golden(q):
+    digest = hashlib.sha256()
+    for shape in CHANNEL_STREAM_SHAPES:
+        for seed in range(20):
+            ch = sample_channel(*shape, q=q, seed=seed)
+            digest.update(repr((shape, seed, ch.A.tolist(), ch.E.tolist(),
+                                ch.rank_A)).encode())
+    assert digest.hexdigest() == CHANNEL_STREAM_SHA256[q]

@@ -327,7 +327,7 @@ def _blocks(draw, tower):
 def test_block_ranks_match_elimination(tower, data):
     batch = data.draw(_blocks(tower))
     add, mul = tower.numpy_tables()
-    ranks = sumrank._block_ranks(tower, add, mul, np.array(batch, dtype=np.int64))
+    ranks = sumrank.block_ranks(tower, add, mul, np.array(batch, dtype=np.int64))
     assert list(ranks) == [tower.rank_over_base(block) for block in batch]
 
 
