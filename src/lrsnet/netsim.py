@@ -442,7 +442,6 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
         if target[l] < capacities[l]:
             target[l] += 1
             left -= 1
-    add, mul = tower.numpy_tables()
     err = [0] * part.n
     for l, (a, b) in enumerate(part.slices()):
         if target[l] == 0:
@@ -451,7 +450,7 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
         while True:
             state = rng.getstate()
             blocks = _randbelow_array(rng, tower.order, batch * s).reshape(batch, s)
-            hits = np.flatnonzero(sumrank.block_ranks(tower, add, mul, blocks) == target[l])
+            hits = np.flatnonzero(sumrank.block_ranks(tower, blocks.T) == target[l])
             if hits.size:
                 j = int(hits[0])
                 if j < batch - 1:

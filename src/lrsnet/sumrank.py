@@ -5,12 +5,15 @@ ordered blocks and sums the F_q-rank of each block's basis expansion.  With
 one block it is the rank metric, with all blocks of size one the Hamming
 metric.
 
-Brute force runs on the numpy add/mul tables of F_{q^m} behind one guard,
+Brute force runs on order x order numpy tables of F_{q^m} behind one guard,
 `enumerable`: q^m <= 512 and (q^m)^k <= 2^22 messages.  The minimum distance
 enumerates one message per line of F_{q^m}^k, the one whose highest nonzero
 coordinate is 1, because nonzero scalars keep the weight; decoding
-enumerates all (q^m)^k messages.  Block ranks come from one Gaussian
-elimination over F_q run on a whole batch of blocks at once.
+enumerates all (q^m)^k messages.  Codewords are built coordinate-major from
+each generator row's table of multiples.  A block's rank counts the elements
+left nonzero after each is reduced by the earlier, already reduced ones,
+one lookup per pair in the field's reduction table
+(`FieldTower._reduction_table`), for a whole batch of blocks at once.
 """
 
 from __future__ import annotations
@@ -130,30 +133,43 @@ def enumerable(tower: FieldTower, k: int) -> bool:
     return tower.order <= gf._NUMPY_TABLE_MAX and tower.order ** k <= _BRUTE_FORCE_MAX
 
 
-def _check_guard(tower, k):
+def _check_guard(tower, G, y=()):
+    """Reject what the table-driven brute force cannot run on: an empty
+    generator, a code outside `enumerable`, and any generator or
+    received-word entry that is not an element encoding 0 .. q^m - 1 (numpy
+    would read a negative one as an index from the end)."""
+    k = len(G)
     if k == 0:
         raise ValueError("zero-dimensional code")
     if not enumerable(tower, k):
         raise ValueError(
             f"brute-force enumeration needs q^m <= {gf._NUMPY_TABLE_MAX} and "
             f"(q^m)^k <= {_BRUTE_FORCE_MAX}; got q^m = {tower.order}, k = {k}")
+    for what, entries in (("generator", (v for row in G for v in row)), ("received word", y)):
+        for v in entries:
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < tower.order):
+                raise ValueError(f"{what} entry {v!r} is not an element of F_{tower.order}")
 
 
-def _codeword_chunks(tower, add, mul, G, start, stop=None):
-    """Yield (message indices, codeword array) chunk by chunk over messages
+def _codeword_chunks(tower, add, mul, G, start, stop=None, offset=None):
+    """Yield (message indices, codewords) chunk by chunk over messages
     start, start + 1, ..., stop - 1 (default (q^m)^k - 1); digit i of an
-    index in base q^m is coordinate i of its message."""
-    order, n = tower.order, len(G[0])
+    index in base q^m is coordinate i of its message.  The codewords come
+    coordinate-major, an n x B array, each shifted by the length-n vector
+    `offset` (default zero)."""
+    order = tower.order
     if stop is None:
         stop = order ** len(G)
+    # row i's multiples: mults[i][j, d] = d * G[i][j], row 0 shifted by offset
+    mults = [mul[np.asarray(gi, dtype=np.int64)] for gi in G]
+    if offset is not None:
+        mults[0] = add[np.asarray(offset, dtype=np.int64)[:, None], mults[0]]
+    add = add.ravel()
     for lo in range(start, stop, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
-        cw = np.zeros((idx.shape[0], n), dtype=np.int64)
-        for i, gi in enumerate(G):
-            di = (idx // order ** i) % order
-            for j in range(n):
-                if gi[j]:
-                    cw[:, j] = add[cw[:, j], mul[di, gi[j]]]
+        cw = mults[0].take(idx % order, axis=1)
+        for i in range(1, len(G)):
+            cw = add[cw * order + mults[i].take(idx // order ** i % order, axis=1)]
         yield idx, cw
 
 
@@ -170,7 +186,7 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
     message per line, the one whose highest nonzero coordinate is 1, is
     enumerated."""
     k = len(G)
-    _check_guard(tower, k)
+    _check_guard(tower, G)
     if len(G[0]) != part.n:
         raise ValueError("generator width does not match partition")
     if gf.mat_rank(tower, G) < k:
@@ -179,44 +195,40 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
     best = part.n
     for start, stop in _projective_ranges(tower.order, k):
         for _, cw in _codeword_chunks(tower, add, mul, G, start, stop):
-            best = min(best, int(_batch_weights(tower, add, mul, cw, part).min()))
+            best = min(best, int(_batch_weights(tower, cw, part).min()))
             if best <= 1:
                 return best
     return best
 
 
-def block_ranks(tower, add, mul, block):
-    """Vector of F_q-ranks of the base-field expansions of a B x s batch of
-    blocks, by one Gaussian elimination run on all B matrices at once.
+def block_ranks(tower, block):
+    """Vector of F_q-ranks of the base-field expansions of B blocks of s
+    elements, given as an s x B array (element t of every block in row t).
 
-    Row t of a block's s x m expansion is the digit vector of element t, so
-    the rows stay element encodings and a row operation is one lookup in
-    the F_{q^m} tables.  Step `col` picks, per block, the first row with a
-    nonzero digit `col` and subtracts F_q-multiples of it from every row.
-    That clears the digit in all rows, the pivot row included, so each
-    pivot found adds one to the rank.
+    Each element is reduced by the earlier ones of its block, already
+    reduced, through `tower._reduction_table()`: reducing by a nonzero a
+    clears a's pivot, its first nonzero base-q digit.  A reduced element is
+    zero on the pivots of all reduced elements before it, so the nonzero
+    ones are independent over F_q and span the block, and an element
+    reduces to zero exactly when it lies in the span of those before it.
+    The rank is the number of nonzero reduced elements.
     """
-    add, mul = add.ravel(), mul.ravel()
-    _, bmul, neg, inv = tower._base_numpy_tables()
-    digits = tower._digit_table()
+    red = tower._reduction_table().ravel()
     order = tower.order
-    rows = np.arange(block.shape[0])
-    ranks = np.zeros(block.shape[0], dtype=np.int64)
-    for col in range(tower.m):
-        lead = digits[col][block]
-        piv = (lead != 0).argmax(axis=1)
-        pval = lead[rows, piv]
-        ranks += pval != 0
-        if col < tower.m - 1:
-            coef = neg[bmul[lead, inv[pval][:, None]]]  # zero where no pivot
-            block = add[block * order + mul[coef * order + block[rows, piv][:, None]]]
+    ranks = np.zeros(block.shape[1], dtype=np.int64)
+    rows = []  # reduced elements times order: their rows of the flat table
+    for x in block:
+        for r in rows:
+            x = red[r + x]
+        ranks += x != 0
+        rows.append(x * order)
     return ranks
 
 
-def _batch_weights(tower, add, mul, cw, part):
-    total = np.zeros(cw.shape[0], dtype=np.int64)
+def _batch_weights(tower, cw, part):
+    total = np.zeros(cw.shape[1], dtype=np.int64)
     for a, b in part.slices():
-        total += block_ranks(tower, add, mul, cw[:, a:b])
+        total += block_ranks(tower, cw[a:b])
     return total
 
 
@@ -228,8 +240,8 @@ def bruteforce_decode(tower: FieldTower, G, part: OrderedPartition, y,
     absence of any codeword within the radius.
     """
     k = len(G)
-    _check_guard(tower, k)
     y = list(y)
+    _check_guard(tower, G, y)
     if len(y) != part.n:
         raise ValueError("received word length does not match partition")
     if code_distance is None:
@@ -237,11 +249,11 @@ def bruteforce_decode(tower: FieldTower, G, part: OrderedPartition, y,
     radius = (code_distance - 1) // 2
 
     add, mul = tower.numpy_tables()
-    neg = (add == 0).argmax(axis=1)
-    ny = neg[np.asarray(y, dtype=np.int64)]
+    # the codewords start at -y, so they come out as c - y
     best, best_idx, tie = part.n + 1, 0, False
-    for idx, cw in _codeword_chunks(tower, add, mul, G, 0):
-        w = _batch_weights(tower, add, mul, add[cw, ny], part)
+    for idx, cw in _codeword_chunks(tower, add, mul, G, 0,
+                                    offset=[tower.neg(v) for v in y]):
+        w = _batch_weights(tower, cw, part)
         m = int(w.min())
         if m < best:
             hits = idx[w == m]

@@ -1,5 +1,6 @@
 """Sum-rank weights, brute-force minimum distance and the micro decoder."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -294,9 +295,10 @@ def test_decode_matches_oracle(tower, data):
         assert (res.status, res.message, res.distance) == (NO_CODEWORD, None, best)
 
 
+# the last two: odd p with e = 2, and order 512 over F_8
 RANK_TOWERS = [F9, make_field(2, 2, 2), make_field(3, 1, 3), make_field(3, 1, 4),
-               make_field(2, 1, 9)]
-_rank_ids = ["F9", "F16", "F27", "F81", "F512"]
+               make_field(2, 1, 9), make_field(3, 2, 2), make_field(2, 3, 3)]
+_rank_ids = ["F9", "F16", "F27", "F81", "F512", "F81-over-F9", "F512-over-F8"]
 
 
 @st.composite
@@ -326,9 +328,35 @@ def _blocks(draw, tower):
 @given(data=st.data())
 def test_block_ranks_match_elimination(tower, data):
     batch = data.draw(_blocks(tower))
-    add, mul = tower.numpy_tables()
-    ranks = sumrank.block_ranks(tower, add, mul, np.array(batch, dtype=np.int64))
+    ranks = sumrank.block_ranks(tower, np.array(batch, dtype=np.int64).T)
     assert list(ranks) == [tower.rank_over_base(block) for block in batch]
+
+
+@pytest.mark.parametrize("tower", RANK_TOWERS, ids=_rank_ids)
+def test_reduction_table_properties(tower):
+    """Every entry of RED[a, x] = x - (x_p / a_p) * a, checked against the
+    add/mul tables and the scalar digit expansion."""
+    red = tower._reduction_table()
+    add, mul = tower.numpy_tables()
+    elems = np.arange(tower.order)
+    assert red.shape == (tower.order, tower.order)
+    assert (red[0] == elems).all()
+    # F_q sits in F_{q^m} as the encodings below q
+    multiples = mul[np.arange(tower.q)]  # multiples[c, a] = c * a
+    for c in range(tower.q):
+        assert (red[elems, multiples[c]] == 0).all()
+    neg = (add == 0).argmax(axis=1)
+    diff = add[red, neg[elems][None, :]]  # RED[a, x] - x
+    assert (diff[:, :, None] == multiples.T[:, None, :]).any(axis=2).all()
+    digits = np.array([tower.digits(a) for a in elems])
+    for a in range(1, tower.order):
+        pivot = int(np.flatnonzero(digits[a])[0])
+        assert not digits[red[a], pivot].any()
+
+
+def test_reduction_table_guarded():
+    with pytest.raises(ValueError, match="numpy-table guard"):
+        make_field(2, 1, 10)._reduction_table()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -383,9 +411,64 @@ def test_guard_fails_fast_above_table_order():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("bad", [-1, -9, 9, 10 ** 6])
+def test_guard_rejects_entries_outside_the_field(bad):
+    # numpy would read -9 as index 0: [0, 0, 0, -9] used to decode as (0, 0)
+    part = OrderedPartition((2, 2))
+    Gm = [[1, 0, 1, 2], [0, 1, 3, 4]]
+    with pytest.raises(ValueError, match="received word entry"):
+        bruteforce_decode(F9, Gm, part, [0, 0, 0, bad], code_distance=3)
+    bad_G = [[1, 0, 1, 2], [0, 1, 3, bad]]
+    with pytest.raises(ValueError, match="generator entry"):
+        min_distance_bruteforce(F9, bad_G, part)
+    with pytest.raises(ValueError, match="generator entry"):
+        bruteforce_decode(F9, bad_G, part, [0] * 4, code_distance=3)
+
+
 def test_guard_rejects_zero_dimension():
     part = OrderedPartition((2, 2))
     with pytest.raises(ValueError, match="zero-dimensional"):
         min_distance_bruteforce(F9, [], part)
     with pytest.raises(ValueError, match="zero-dimensional"):
         bruteforce_decode(F9, [], part, [0] * 4, code_distance=1)
+
+
+# Pinned brute-force results at the micro-codes benchmark's shapes: for each
+# generator (the default LRS code, which is MSRD, and three seeded random
+# ones of lower distance) its minimum distance, then (status, message,
+# distance) of decoding seeded received words: codewords, codewords plus
+# errors on one or two coordinates, and uniform words, most of them past the
+# radius.
+BRUTEFORCE_SHA256 = {
+    ((3, 1, 4), 2): "756f3199dd10c1bda6f5cf05c748272dc6afe420da6486966998acdb05cbf354",
+    ((3, 1, 3), 3): "40df6d44228cd6324aed118cf29cd8a51e04a0e59c34a5d6b0132089900a953b",
+}
+
+
+@pytest.mark.parametrize("pem,k", sorted(BRUTEFORCE_SHA256))
+def test_bruteforce_results_golden(pem, k):
+    tower = make_field(*pem)
+    part = OrderedPartition((3, 3))
+    rng = random.Random(sum(pem) + k)
+    gens = [generator_matrix(make_code(tower, part, k))]
+    gens += [[[tower.random_element(rng) for _ in range(part.n)] for _ in range(k)]
+             for _ in range(3)]
+    digest = hashlib.sha256()
+    statuses = set()
+    for Gm in gens:
+        d = min_distance_bruteforce(tower, Gm, part)
+        digest.update(repr((Gm, d)).encode())
+        for trial in range(12):
+            msg = [tower.random_element(rng) for _ in range(k)]
+            y = vec_mat(tower, msg, Gm)
+            if trial % 4 == 3:
+                y = [tower.random_element(rng) for _ in range(part.n)]
+            else:
+                for j in rng.sample(range(part.n), trial % 4):
+                    y[j] = tower.add(y[j], tower.random_nonzero(rng))
+            res = bruteforce_decode(tower, Gm, part, y,
+                                    code_distance=None if trial == 0 else d)
+            statuses.add(res.status)
+            digest.update(repr((y, res.status, res.message, res.distance)).encode())
+    assert statuses == {DECODED, NO_CODEWORD, AMBIGUOUS}
+    assert digest.hexdigest() == BRUTEFORCE_SHA256[pem, k]
