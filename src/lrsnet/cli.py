@@ -2,7 +2,8 @@
 channel simulation and table sweeps.
 
 Exit codes: 0 on success (condition holds / build succeeded), 1 when a
-condition check fails or synthesis gives up, 2 on usage or parse errors.
+condition check fails or synthesis gives up, 2 on usage or parse errors; a
+reader that closes the output early (``| head``) ends the run quietly with 0.
 Every run is reproducible from its arguments and --seed; the JSON reports of
 construct and simulate embed the seed (tables takes no seed).
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 import sys
 from dataclasses import replace
 
@@ -43,11 +46,20 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _write(path: str, text: str):
+    """The one writer of --out files: text plus a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def _emit(text: str, out_path: str | None):
+    """Print a report, and write the same text to --out when given."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text)
     print(text)
 
 
@@ -67,7 +79,7 @@ def cmd_check(args) -> int:
         "equality_system": report.equality_system,
         "cover_dim": report.cover_dim,
     }
-    _emit(doc, args.out)
+    _emit(_json(doc), args.out)
     return 0 if report.holds else 1
 
 
@@ -111,10 +123,9 @@ def cmd_construct(args) -> int:
         doc["distance"] = d
         doc["distance_optimal"] = d == sc.n - cc.cover_dim + 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(construct.to_json(cc) + "\n")
+        _write(args.out, construct.to_json(cc))
         doc["code_file"] = args.out
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_json(doc))
     return 0
 
 
@@ -125,11 +136,7 @@ def cmd_design(args) -> int:
     if args.ell is not None:
         inst = replace(inst, ell=args.ell)
     res = build_distributed_code(inst, seed=args.seed or 0, build_code=args.build)
-    text = res.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(res.to_json(), args.out)
     return 0
 
 
@@ -152,8 +159,7 @@ def cmd_tables(args) -> int:
         print(f"{r['ell']:>3} {r['q']:>3} {r['m']:>3} {dims:>14}  "
               f"{','.join(map(str, r['parts'])):<18} {','.join(map(str, r['lengths']))}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        _write(args.out, _json(rows))
     return 0
 
 
@@ -176,8 +182,6 @@ def cmd_simulate(args) -> int:
     if res.code is not None:
         tower = res.code.code.tower
         if enumerable(tower, res.k):
-            import random
-
             rng = random.Random(args.seed)
             wt = max(0, (res.distance - 1 - inst.rho) // 2)
             decode_trials = min(args.trials, 50)
@@ -186,7 +190,7 @@ def cmd_simulate(args) -> int:
                 for _ in range(decode_trials))
             doc["decode"] = {"trials": decode_trials, "successes": good,
                              "error_weight": wt, "erasures": inst.rho}
-    _emit(doc, args.out)
+    _emit(_json(doc), args.out)
     return 0
 
 
@@ -244,7 +248,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return rc
+    except BrokenPipeError:  # the reader left; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConditionViolation, construct.SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,9 @@ empty, or Z_i = U - {c_i} for one k-set U and distinct c_i: singletons force
 values k - |W| gives |union of the Z_i| = k.  Conversely, zero sets of
 size k - 1 with a union of size k are such a system once they are distinct,
 which the condition ensures.
+
+`format_pattern` writes a pattern file, which production never does; its
+round trip through `parse_pattern` checks the parser.
 """
 
 from __future__ import annotations

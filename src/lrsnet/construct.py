@@ -173,55 +173,6 @@ def subcode_generator(tower: FieldTower, part: OrderedPartition, k: int,
 
 
 # ----------------------------------------------------------------------
-# multiplication matrices of skew polynomials and the stacked rank test
-
-
-def skew_mult_matrix(u: SkewPoly, rows: int, cols: int) -> list:
-    """rows x cols matrix placing sigma^r(u) shifted r columns right in row r;
-    left-multiplying by a coefficient row applies polynomial multiplication."""
-    if u.degree > cols - rows:
-        raise ValueError("need cols - rows >= deg u")
-    t = u.tower
-    out = []
-    coeffs = list(u.coeffs)
-    for r in range(rows):
-        if r > 0:
-            coeffs = [t.frobenius(c) for c in coeffs]
-        row = [0] * cols
-        for j, c in enumerate(coeffs):
-            row[r + j] = c
-        out.append(row)
-    return out
-
-
-def shifted_zero_set_polynomial(code: LrsCode, zero_set, shift: int) -> SkewPoly:
-    """X^shift times the minimal polynomial of the zero set's locators."""
-    t = code.tower
-    return SkewPoly.x_power(t, shift) * _zero_set_polynomial(t, lrs.locators(code), zero_set)
-
-
-def constraint_matrix_rank(code: LrsCode, specs, k: int):
-    """Rank of the stacked multiplication matrices of X^tau_i * f_{Z_i}.
-
-    specs is a sequence of (zero_set, tau) pairs with tau + |Z| <= k - 1.
-    Returns (rank, full_row_rank).
-    """
-    t = code.tower
-    blocks = []
-    total_rows = 0
-    for zero_set, tau in specs:
-        zero_set = frozenset(zero_set)
-        if tau + len(zero_set) > k - 1:
-            raise ValueError("tau + |Z| must stay below k")
-        poly = shifted_zero_set_polynomial(code, zero_set, tau)
-        nrows = k - tau - len(zero_set)
-        blocks.extend(skew_mult_matrix(poly, nrows, k))
-        total_rows += nrows
-    rank = gf.mat_rank(t, blocks)
-    return rank, rank == total_rows
-
-
-# ----------------------------------------------------------------------
 # serialization: enough to rebuild the object bit-exactly
 
 

@@ -32,6 +32,10 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
   T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
 - inverse: extended Euclid over F_q[y] on ``_qpoly_divmod`` (oracle:
   ``pow(a, q^m - 2)``).
+
+Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
+paper criterion 8; ``FieldTower.expand`` and ``mat_inv`` serve the network
+decoding path that ``netsim`` keeps.
 """
 
 from __future__ import annotations
@@ -96,7 +100,9 @@ def prime_power(n: int):
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division (fine for the sizes used here)."""
+    """Prime factorization by trial division up to about the second-largest prime
+    factor, too slow for some orders of the paper's sizes: factorize(5^34 - 1)
+    had not finished after 20 s on a 2-vCPU Xeon."""
     factors = {}
     for p in (2, 3):
         while n % p == 0:
@@ -427,9 +433,6 @@ class FieldTower:
             s0, s1 = s1, self._qpoly_sub(s0, self._qpoly_mul(quo, s1))
         c = self.base_inv(r1[0])
         return _digits_int([self.base_mul(c, x) for x in s1], self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:

@@ -5,6 +5,10 @@ classes, per-block column multipliers that are linearly independent over the
 base field, and a dimension k.  Codewords are b * (f(alpha))_alpha for skew
 polynomials f of degree < k evaluated at the code locators
 alpha = a_l * b^(q-1).
+
+Two independent paths stay as oracles of `generator_matrix`:
+`generator_by_vandermonde` (twisted Vandermonde matrix times multipliers)
+and `encode` (evaluation of the message polynomial at each locator).
 """
 
 from __future__ import annotations
@@ -144,14 +148,3 @@ def encode(code: LrsCode, msg) -> list:
     for alpha, b in zip(locators(code), code.flat_multipliers()):
         out.append(t.mul(b, skewpoly.evaluate(f, alpha)))
     return out
-
-
-def generator_csv(code: LrsCode, matrix=None) -> str:
-    """Row-major CSV of integer encodings with a field/shape header line."""
-    if matrix is None:
-        matrix = generator_matrix(code)
-    t = code.tower
-    parts = ",".join(str(p) for p in code.part.parts)
-    lines = [f"# p={t.p} e={t.e} m={t.m} k={code.k} partition={parts}"]
-    lines.extend(",".join(str(x) for x in row) for row in matrix)
-    return "\n".join(lines) + "\n"

@@ -5,6 +5,10 @@ structure induces a generator zero pattern, a support-constrained LRS
 (sub)code is synthesized over a sufficient field, packets are lifted with
 identity headers, and a (t, rho)-adversary channel Y = A X + E is sampled
 and audited against the rank/sum-rank weight bounds.
+
+`lift` (identity headers) and `transmit` (Y = A X + E) have no production
+caller yet: they start the network decoding path (lift, channel, reduction,
+LRS decoding) that the audit does not run.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ coefficients sum_{i,j} f_i sigma^i(g_j) X^(i+j).  Evaluation is remainder
 evaluation: f(a) = sum_i f_i N_i(a) with the truncated norm
 N_i(a) = a^((q^i - 1)/(q - 1)), which equals the remainder of f on right
 division by (X - a).
+
+Kept for checks only: `evaluate_by_division` is the oracle of `evaluate`,
+`truncated_norm` checks the Moore identity behind `lrs.generator_matrix`,
+`is_p_independent` checks `lrs.locators`, and `gcrd`, `lclm` and
+`roots_in_field` check the paper's criteria 6 to 8.
 """
 
 from __future__ import annotations
@@ -40,18 +45,6 @@ class SkewPoly:
         return cls(tower, (1,))
 
     @classmethod
-    def constant(cls, tower, c):
-        return cls(tower, (c,))
-
-    @classmethod
-    def x(cls, tower):
-        return cls(tower, (0, 1))
-
-    @classmethod
-    def x_power(cls, tower, t: int):
-        return cls(tower, (0,) * t + (1,))
-
-    @classmethod
     def x_minus(cls, tower, alpha):
         return cls(tower, (tower.neg(alpha), 1))
 
@@ -64,11 +57,8 @@ class SkewPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def monic(self) -> "SkewPoly":
-        if self.is_zero() or self.is_monic():
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         inv = self.tower.inv(self.coeffs[-1])
         return SkewPoly(self.tower, tuple(self.tower.mul(inv, c) for c in self.coeffs))
@@ -222,17 +212,6 @@ def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     return (u_cur * f).monic()
 
 
-def lclm_all(polys) -> SkewPoly:
-    """lclm of a sequence, folded pairwise in input order."""
-    polys = list(polys)
-    if not polys:
-        raise ValueError("lclm of an empty sequence")
-    acc = polys[0].monic()
-    for p in polys[1:]:
-        acc = lclm(acc, p)
-    return acc
-
-
 def minimal_polynomial(tower: FieldTower, points) -> SkewPoly:
     """Monic minimal polynomial of a point set, by Newton interpolation.
 
@@ -292,25 +271,3 @@ def roots_in_field(f: SkewPoly):
     if t.order > _ROOT_ENUM_MAX:
         raise ValueError(f"field order {t.order} exceeds root-enumeration guard")
     return {a for a in t.all_elements() if evaluate(f, a) == 0}
-
-
-def divisible_by_x_power_right(f: SkewPoly, t_exp: int) -> bool:
-    """X^t | f on the right, decided by the division algorithm."""
-    if f.is_zero():
-        return True
-    _, rem = right_div(f, SkewPoly.x_power(f.tower, t_exp))
-    return rem.is_zero()
-
-
-def divisible_by_x_power_left(f: SkewPoly, t_exp: int) -> bool:
-    """X^t | f on the left, decided constructively: f = X^t * g with
-    g = sigma^(-t) applied to the upshifted coefficients."""
-    if f.is_zero():
-        return True
-    if len(f.coeffs) <= t_exp:
-        return False
-    tower = f.tower
-    g = SkewPoly(tower, tuple(tower.frobenius(c, -t_exp) for c in f.coeffs[t_exp:]))
-    if any(c != 0 for c in f.coeffs[:t_exp]):
-        return False
-    return SkewPoly.x_power(tower, t_exp) * g == f

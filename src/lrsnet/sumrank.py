@@ -57,23 +57,6 @@ class OrderedPartition:
             start += p
         return out
 
-    def position(self, l: int, t: int) -> int:
-        """1-based column index of entry t of block l (both 1-based)."""
-        if not (1 <= l <= self.ell) or not (1 <= t <= self.parts[l - 1]):
-            raise ValueError("block index out of range")
-        return t + sum(self.parts[: l - 1])
-
-    def locate(self, j: int):
-        """Inverse of position: 1-based column -> (block, offset)."""
-        if not (1 <= j <= self.n):
-            raise ValueError("column index out of range")
-        acc = 0
-        for l, p in enumerate(self.parts, start=1):
-            if j <= acc + p:
-                return l, j - acc
-            acc += p
-        raise AssertionError
-
     def __eq__(self, other):
         return isinstance(other, OrderedPartition) and other.parts == self.parts
 
@@ -90,11 +73,6 @@ def sum_rank_weight(tower: FieldTower, x, part: OrderedPartition) -> int:
     if len(x) != part.n:
         raise ValueError(f"vector length {len(x)} does not match partition n={part.n}")
     return sum(tower.rank_over_base(x[a:b]) for a, b in part.slices())
-
-
-def sum_rank_distance(tower: FieldTower, x, y, part: OrderedPartition) -> int:
-    diff = [tower.sub(a, b) for a, b in zip(x, y)]
-    return sum_rank_weight(tower, diff, part)
 
 
 def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition) -> int:

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrsnet
 from lrsnet.cli import main
 from lrsnet.constraints import (
     cover_dimension,
@@ -168,6 +171,24 @@ def test_design_build_seed_defaults_to_zero(toy_instance, capsys):
     unseeded = capsys.readouterr().out
     assert main(["design", toy_instance, "--build", "--seed", "0"]) == 0
     assert capsys.readouterr().out == unseeded
+
+
+@pytest.mark.parametrize("extra", [[], ["--build"]], ids=["design", "design-build"])
+def test_closed_output_pipe_exits_zero_quietly(extra, toy_instance):
+    # as in `lrsnet design toy.json --build | head -1` once head has exited:
+    # the read end is closed before the first write, so the report's own
+    # print (--build) or the final flush of a short report hits EPIPE
+    src = os.path.dirname(os.path.dirname(lrsnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lrsnet", "design", toy_instance, *extra],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # Pinned `design --build` outputs: the toy code over F_{4^10} (ell 3) and

@@ -1,5 +1,5 @@
 """Constrained generator synthesis, support verification, subcode fallback,
-multiplication matrices and the stacked rank test."""
+and multiplication matrices of skew polynomials as an oracle of skew_mul."""
 
 import random
 
@@ -8,17 +8,16 @@ import pytest
 from lrsnet.constraints import ConditionViolation, SupportConstraint
 from lrsnet.construct import (
     SynthesisError,
-    constraint_matrix_rank,
+    _zero_set_polynomial,
     from_json,
     row_transform,
-    skew_mult_matrix,
     subcode_generator,
     synthesize,
     to_json,
     verify_support,
 )
-from lrsnet.gf import make_field, mat_det, mat_mul, mat_rank
-from lrsnet.lrs import generator_matrix, make_code
+from lrsnet.gf import make_field, mat_det, mat_mul, mat_rank, vec_mat
+from lrsnet.lrs import generator_matrix, locators, make_code
 from lrsnet.skewpoly import SkewPoly, skew_mul
 from lrsnet.sumrank import OrderedPartition, min_distance_bruteforce
 
@@ -62,7 +61,7 @@ def test_row_transform_zero_locator_row():
     # minimal polynomial of {0} alone is X: exercised via the polynomial API
     from lrsnet.skewpoly import minimal_polynomial
 
-    assert minimal_polynomial(F9, [0]) == SkewPoly.x(F9)
+    assert minimal_polynomial(F9, [0]) == SkewPoly(F9, (0, 1))
 
 
 def test_row_transform_requires_completion():
@@ -154,15 +153,40 @@ def test_subcode_infeasible_full_rows():
         subcode_generator(F27, OrderedPartition((2, 2)), 2, sc)
 
 
+def mult_matrix(u: SkewPoly, rows: int, cols: int) -> list:
+    """rows x cols matrix placing sigma^r(u) shifted r columns right in row r;
+    left-multiplying by a coefficient row applies polynomial multiplication."""
+    if u.degree > cols - rows:
+        raise ValueError("need cols - rows >= deg u")
+    t = u.tower
+    out = []
+    coeffs = list(u.coeffs)
+    for r in range(rows):
+        if r > 0:
+            coeffs = [t.frobenius(c) for c in coeffs]
+        row = [0] * cols
+        for j, c in enumerate(coeffs):
+            row[r + j] = c
+        out.append(row)
+    return out
+
+
+def shifted_minimal_polynomial(code, zero_set, shift: int) -> SkewPoly:
+    """X^shift times the minimal polynomial of the zero set's locators."""
+    t = code.tower
+    x_shift = SkewPoly(t, (0,) * shift + (1,))
+    return x_shift * _zero_set_polynomial(t, locators(code), zero_set)
+
+
 def test_skew_mult_matrix_shapes():
     one = SkewPoly.one(F9)
-    S = skew_mult_matrix(one, 3, 5)
+    S = mult_matrix(one, 3, 5)
     assert S == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
     u = SkewPoly(F9, (2, G, 1))
-    S1 = skew_mult_matrix(u, 1, 3)
+    S1 = mult_matrix(u, 1, 3)
     assert S1 == [[2, G, 1]]
     with pytest.raises(ValueError):
-        skew_mult_matrix(u, 3, 4)
+        mult_matrix(u, 3, 4)
 
 
 def test_skew_mult_matrix_respects_products():
@@ -174,8 +198,8 @@ def test_skew_mult_matrix_respects_products():
         a = rng.randrange(1, 3)
         c = a + dv + rng.randrange(0, 2)
         b = c + du + rng.randrange(0, 2)
-        left = skew_mult_matrix(skew_mul(v, u), a, b)
-        right = mat_mul(F9, skew_mult_matrix(v, a, c), skew_mult_matrix(u, c, b))
+        left = mult_matrix(skew_mul(v, u), a, b)
+        right = mat_mul(F9, mult_matrix(v, a, c), mult_matrix(u, c, b))
         assert left == right
 
 
@@ -193,85 +217,23 @@ def test_coefficient_row_of_combination_lies_in_row_space():
             tau = rng.randrange(0, 2)
             z = frozenset(rng.sample(range(1, 7), rng.randrange(0, k - tau)))
             specs.append((z, tau))
-        from lrsnet.construct import shifted_zero_set_polynomial
-
         rows = []
         for z, tau in specs:
-            rows.extend(skew_mult_matrix(shifted_zero_set_polynomial(code, z, tau),
-                                         k - tau - len(z), k))
+            rows.extend(mult_matrix(shifted_minimal_polynomial(code, z, tau),
+                                    k - tau - len(z), k))
         u = [F81.random_element(rng) for _ in range(len(rows))]
         lhs = [0] * k
         offset = 0
         total = SkewPoly.zero(F81)
         for z, tau in specs:
-            f = shifted_zero_set_polynomial(code, z, tau)
+            f = shifted_minimal_polynomial(code, z, tau)
             nrows = k - tau - len(z)
             g = SkewPoly(F81, u[offset:offset + nrows])
             total = total + skew_mul(g, f)
             offset += nrows
-        from lrsnet.gf import vec_mat
-
         rhs = vec_mat(F81, u, rows)
         coeffs = list(total.coeffs) + [0] * (k - len(total.coeffs))
         assert coeffs == rhs
-
-
-def test_constraint_matrix_full_rank_micro():
-    code = micro_code()
-    rank, full = constraint_matrix_rank(code, [({2}, 0), ({1}, 0)], 2)
-    assert rank == 2 and full
-
-
-def test_constraint_matrix_deficient_for_repeated_row():
-    rng = random.Random(4)
-    part = OrderedPartition((2, 2))
-    for trial in range(50):
-        mults = []
-        for nl in part.parts:
-            while True:
-                blk = tuple(F9.random_nonzero(rng) for _ in range(nl))
-                if F9.linearly_independent_over_base(blk):
-                    break
-            mults.append(blk)
-        code = make_code(F9, part, 2, multipliers=tuple(mults))
-        rank, full = constraint_matrix_rank(code, [({1}, 0), ({1}, 0)], 2)
-        assert not full
-        assert rank < 2
-
-
-def test_constraint_matrix_identity_pattern():
-    code = micro_code()
-    rank, full = constraint_matrix_rank(code, [(frozenset(), 0)], 2)
-    assert full and rank == 2
-
-
-def test_constraint_matrix_precondition():
-    code = micro_code()
-    with pytest.raises(ValueError, match="below k"):
-        constraint_matrix_rank(code, [({1, 2}, 1)], 2)
-
-
-def test_stacked_matrix_coincides_with_row_transform():
-    # with s = k rows, no shifts and completed zero sets, each block is a
-    # single coefficient row, so the stack equals the square row transform
-    rng = random.Random(5)
-    part = OrderedPartition((3, 3))
-    for _ in range(10):
-        k = 3
-        code = make_code(F81, part, k)
-        zs = tuple(frozenset(rng.sample(range(1, 7), k - 1)) for _ in range(k))
-        sc = SupportConstraint(6, k, zs)
-        T = row_transform(code, sc)
-        from lrsnet.construct import shifted_zero_set_polynomial
-
-        stacked = []
-        for z in zs:
-            stacked.extend(skew_mult_matrix(
-                shifted_zero_set_polynomial(code, z, 0), 1, k))
-        assert stacked == T
-        rank, full = constraint_matrix_rank(code, [(z, 0) for z in zs], k)
-        assert rank == mat_rank(F81, T)
-        assert full == (mat_det(F81, T) != 0)
 
 
 def test_serialization_roundtrip():

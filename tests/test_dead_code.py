@@ -1,0 +1,73 @@
+"""src/lrsnet keeps only what production runs, plus the names it declares.
+
+A function or method in ``src/lrsnet`` must be referenced somewhere in
+``src/lrsnet`` (as a name or an attribute), be exported through
+``lrsnet.__all__``, or be named in backticks in its own module's docstring,
+which says why it stays (an oracle of a fast path, a paper criterion, ...).
+The docstrings are the only declaration; this test keeps no list of its own.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import lrsnet
+
+SRC = Path(lrsnet.__file__).resolve().parent
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(trees):
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _definitions(tree):
+    """(name, qualified name) of every function and method, nested ones too."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((child.name, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def _declared(tree):
+    return set(re.findall(r"`([^`\s]+)`", ast.get_docstring(tree) or ""))
+
+
+def test_every_function_in_src_has_a_caller_or_a_declaration():
+    modules = _modules()
+    used = _used_names(modules.values())
+    exported = set(lrsnet.__all__)
+    dead = []
+    for filename, tree in modules.items():
+        declared = _declared(tree)
+        for name, qualname in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in used or name in exported:
+                continue
+            if name in declared or qualname in declared:
+                continue
+            dead.append(f"{filename}: {qualname}")
+    assert not dead, ("functions with no caller in src/lrsnet and no mention in "
+                      "their module docstring: " + ", ".join(dead))

@@ -11,7 +11,6 @@ from lrsnet.lrs import (
     default_representatives,
     encode,
     generator_by_vandermonde,
-    generator_csv,
     generator_matrix,
     locators,
     make_code,
@@ -178,12 +177,3 @@ def test_dimension_above_min_block_length_allowed():
     assert validate(code) == []
     d = min_distance_bruteforce(F81, generator_matrix(code), part)
     assert d == part.n - code.k + 1
-
-
-def test_generator_csv_header_and_rows():
-    code = micro_code()
-    text = generator_csv(code)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# p=3 e=1 m=2 k=2 partition=2,2"
-    assert lines[1] == "1,3,1,3"
-    assert len(lines) == 3

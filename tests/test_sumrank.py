@@ -21,7 +21,6 @@ from lrsnet.sumrank import (
     bruteforce_decode,
     enumerable,
     min_distance_bruteforce,
-    sum_rank_distance,
     sum_rank_weight,
     sum_rank_weight_matrix,
 )
@@ -40,11 +39,6 @@ def test_partition_basics():
     part = OrderedPartition((2, 3, 1))
     assert part.n == 6 and part.ell == 3
     assert part.slices() == [(0, 2), (2, 5), (5, 6)]
-    assert part.position(2, 3) == 5
-    assert part.locate(5) == (2, 3)
-    for j in range(1, 7):
-        l, t = part.locate(j)
-        assert part.position(l, t) == j
     with pytest.raises(ValueError):
         OrderedPartition((2, 0))
 
@@ -196,8 +190,9 @@ def test_decode_failure_outside_radius():
     for trial_val in range(9 ** 4):
         y = [(trial_val // 9 ** i) % 9 for i in range(4)]
         dmin = min(
-            sum_rank_distance(F9, y, [
-                F9.add(F9.mul(m0, Gm[0][j]), F9.mul(m1, Gm[1][j])) for j in range(4)
+            sum_rank_weight(F9, [
+                F9.sub(y[j], F9.add(F9.mul(m0, Gm[0][j]), F9.mul(m1, Gm[1][j])))
+                for j in range(4)
             ], code.part)
             for m0 in range(9) for m1 in range(9)
         )
@@ -233,7 +228,8 @@ def _messages_by_index(tower, k):
 
 def _oracle_weights(tower, Gm, part, y):
     """(sum-rank distance of msg * Gm to y, msg) for every message."""
-    return [(sum_rank_distance(tower, vec_mat(tower, list(msg), Gm), y, part), msg)
+    return [(sum_rank_weight(tower, [tower.sub(c, v) for c, v in
+                                     zip(vec_mat(tower, list(msg), Gm), y)], part), msg)
             for msg in _messages_by_index(tower, len(Gm))]
 
 
