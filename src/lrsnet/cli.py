@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from . import construct, netsim
 from .constraints import (
@@ -194,7 +195,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so `main` need not rebuild its five subcommands on every call."""
     parser = argparse.ArgumentParser(
         prog="lrsnet",
         description="support-constrained LRS codes and distributed network design")

@@ -2,7 +2,9 @@
 
 The construction multiplies a plain LRS generator from the left by the
 square matrix whose rows hold the coefficients of the minimal polynomials of
-each row's forbidden locators.  Whenever that matrix is invertible the
+each row's forbidden locators, all built in one batch: the rows of a message
+share its derived columns, so they extend one Newton product instead of
+rebuilding it.  Whenever that matrix is invertible the
 product generates the same code and carries exactly the prescribed zeros;
 invertibility is guaranteed to be reachable by multiplier choice once the
 field is large enough, so the search tries a structured assignment first and
@@ -24,7 +26,7 @@ from .constraints import (
 )
 from .gf import FieldTower
 from .lrs import LrsCode
-from .skewpoly import SkewPoly, minimal_polynomial
+from .skewpoly import minimal_polynomials
 from .sumrank import OrderedPartition
 
 
@@ -56,25 +58,16 @@ class ConstrainedCode:
         return self.code.k
 
 
-def _zero_set_polynomial(tower: FieldTower, locs, zero_set) -> SkewPoly:
-    """Minimal polynomial of the zero set's locators (1 for the empty set)."""
-    if not zero_set:
-        return SkewPoly.one(tower)
-    return minimal_polynomial(tower, [locs[j - 1] for j in sorted(zero_set)])
-
-
 def row_transform(code: LrsCode, sc: SupportConstraint) -> list:
     """Square matrix whose row i holds the minimal-polynomial coefficients of
-    row i's forbidden locators (zero sets completed to size k-1)."""
-    locs = lrs.locators(code)
+    row i's forbidden locators (zero sets completed to size k-1), all rows
+    built in one batch that shares Newton steps between zero sets."""
     k = sc.k
-    rows = []
-    for z in sc.zero_sets:
-        if len(z) != k - 1:
-            raise ValueError("zero sets must be completed to size k-1 first")
-        coeffs = list(_zero_set_polynomial(code.tower, locs, z).coeffs)
-        rows.append(coeffs + [0] * (k - len(coeffs)))
-    return rows
+    if any(len(z) != k - 1 for z in sc.zero_sets):
+        raise ValueError("zero sets must be completed to size k-1 first")
+    locs = lrs.locators(code)
+    polys = minimal_polynomials(code.tower, [[locs[j - 1] for j in z] for z in sc.zero_sets])
+    return [list(f.coeffs) + [0] * (k - len(f.coeffs)) for f in polys]
 
 
 def verify_support(G, sc: SupportConstraint) -> list:

@@ -20,6 +20,8 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 
 - order <= 2^16: ``mul``, ``inv``, ``pow`` and ``frobenius`` look up tables
   of gamma-powers, built at construction by the product routes below;
+- product with an operand 1, past the tables: the other operand, with no
+  arithmetic (monic columns, first norms, Newton steps);
 - product, p = 2: one carry-less pass over the integer encoding with an
   e-bit digit stride, on the multiples x^t b, reduced through the q-entry
   table of c f (oracle: ``_qpoly_mulmod``);
@@ -56,20 +58,24 @@ _INT64_PRIME_BOUND = 1 << 31
 _CLASS_ENUM_MAX = 1 << 20
 # Entries of the table that spreads several base-p digits at once.
 _SPREAD_TABLE_MAX = 1 << 10
+# Miller-Rabin on these bases is exact below the bound (Sorenson and
+# Webster, 2015); `prime_power` refuses to answer past it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_BASES:
         if n % sp == 0:
             return n == sp
-    # deterministic Miller-Rabin for 64-bit range
+    # Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -83,20 +89,43 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(n: int):
-    """Return (p, e) with n = p**e, or None if n is not a prime power."""
+    """Return (p, e) with n = p**e, or None if n is not a prime power.
+
+    A ValueError stands for an answer that would rest on a probable prime:
+    a "prime" verdict of `is_prime` past the range where its bases are
+    proven exact.  Its "composite" verdicts are always certain.
+    """
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            break
-        if n % p:
-            continue
-        e, rest = 0, n
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        return (p, e) if rest == 1 else None
-    return (n, 1)
+    if _certified_prime(n):
+        return (n, 1)
+    # n = p^a is an exact e-th power iff e | a, so the largest e with an
+    # exact root gives p itself when n is a prime power
+    for e in range(n.bit_length() - 1, 1, -1):
+        r = _iroot(n, e)
+        if r ** e == n:
+            return (r, e) if _certified_prime(r) else None
+    return None
+
+
+def _certified_prime(n: int) -> bool:
+    """`is_prime`, with a ValueError where it could only say "probably"."""
+    if not is_prime(n):
+        return False
+    if n >= _MR_DETERMINISTIC_BOUND:
+        raise ValueError(f"{n} lies past the deterministic primality range")
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """The integer e-th root floor(n^(1/e)) of n >= 1, by Newton's method
+    from an upper bound."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def factorize(n: int) -> dict:
@@ -412,6 +441,10 @@ class FieldTower:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        if a == 1:
+            return b
+        if b == 1:
+            return a
         if self._p2:
             return self._binary_mul(a, b)
         if self.e == 1:

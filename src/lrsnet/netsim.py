@@ -318,7 +318,7 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     the words `randrange(q)` would read, so q < 2^32."""
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
-    if q >= 1 << 32:  # before prime_power, whose trial division would grind
+    if q >= 1 << 32:
         raise ValueError(f"channel draws need q < 2^32; got q = {q}")
     pe = prime_power(q)
     if pe is None:

@@ -6,6 +6,12 @@ evaluation: f(a) = sum_i f_i N_i(a) with the truncated norm
 N_i(a) = a^((q^i - 1)/(q - 1)), which equals the remainder of f on right
 division by (X - a).
 
+Minimal polynomials come from Newton interpolation without inverses: a step
+left-multiplies the running product g by (v X - sigma(v) a) with v = g(a),
+and one ``monic`` at the end normalises.  `minimal_polynomials` builds many
+sets in one batch, extending a shared ordered prefix instead of rebuilding
+it; `minimal_polynomial` is its one-set case.
+
 Kept for checks only: `evaluate_by_division` is the oracle of `evaluate`,
 `truncated_norm` checks the Moore identity behind `lrs.generator_matrix`,
 `is_p_independent` checks `lrs.locators`, and `gcrd`, `lclm` and
@@ -13,6 +19,8 @@ Kept for checks only: `evaluate_by_division` is the oracle of `evaluate`,
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .gf import FieldTower
 
@@ -164,11 +172,14 @@ def truncated_norm(tower: FieldTower, alpha: int, i: int):
 
 def evaluate(f: SkewPoly, alpha: int):
     """Remainder evaluation f(alpha) = sum_i f_i N_i(alpha)."""
-    t = f.tower
+    return _evaluate_coeffs(f.tower, f.coeffs, alpha)
+
+
+def _evaluate_coeffs(t: FieldTower, coeffs, alpha: int):
     acc = 0
     norm = 1
     sig = alpha  # sigma^i(alpha) while processing coefficient i+1
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(coeffs):
         if i > 0:
             norm = t.mul(norm, sig)
             sig = t.frobenius(sig)
@@ -221,15 +232,53 @@ def minimal_polynomial(tower: FieldTower, points) -> SkewPoly:
     pts = list(points)
     if not pts:
         raise ValueError("minimal polynomial of an empty set")
-    g = SkewPoly.x_minus(tower, pts[0])
-    for alpha in pts[1:]:
-        v = evaluate(g, alpha)
-        if v == 0:
-            continue
-        # conjugate of alpha with respect to v: sigma(v) * alpha * v^-1
-        conj = tower.mul(tower.mul(tower.frobenius(v), alpha), tower.inv(v))
-        g = SkewPoly.x_minus(tower, conj) * g
-    return g
+    return minimal_polynomials(tower, [pts])[0]
+
+
+def minimal_polynomials(tower: FieldTower, point_sets) -> list:
+    """Monic minimal polynomial of each point set (1 for an empty set).
+
+    Each set takes its points rarest first (by how often the sets hold them,
+    then by encoding), and the Newton product of every ordered prefix is built
+    once per call, so sets that share points share steps.  Rarest first
+    suits `construct.row_transform`: a message's rows share its derived
+    columns, which few other rows hold, while completion piles onto the
+    first columns.  The minimal polynomial does not depend on the order.
+    """
+    sets = [tuple(s) for s in point_sets]
+    held = Counter(a for s in sets for a in s)
+    products = {}  # ordered prefix -> its Newton product
+    out = []
+    for s in sets:
+        prefix, g = (), (1,)
+        for alpha in sorted(s, key=lambda a: (held[a], a)):
+            prefix += (alpha,)
+            h = products.get(prefix)
+            if h is None:
+                h = products[prefix] = (_newton_step(tower, g, alpha) if len(prefix) > 1
+                                        else (tower.neg(alpha), 1))
+            g = h
+        out.append(SkewPoly(tower, g).monic())
+    return out
+
+
+def _newton_step(t: FieldTower, g, alpha: int):
+    """Coefficients of (v X - sigma(v) alpha) g with v = g(alpha) != 0, the
+    left multiple of g that also vanishes at alpha (g itself when v = 0).
+
+    It is v times the monic Newton factor X - sigma(v) alpha v^-1, so the
+    step needs no inverse: h_i = c_0 g_i + v sigma(g_(i-1)) with
+    c_0 = -sigma(v) alpha.
+    """
+    v = _evaluate_coeffs(t, g, alpha)
+    if v == 0:
+        return g
+    c0 = t.neg(t.mul(t.frobenius(v), alpha))
+    h = [t.mul(c0, g[0])]
+    for lo, hi in zip(g, g[1:]):
+        h.append(t.add(t.mul(c0, hi), t.mul(v, t.frobenius(lo))))
+    h.append(t.mul(v, t.frobenius(g[-1])))
+    return tuple(h)
 
 
 def is_p_independent(tower: FieldTower, points) -> bool:

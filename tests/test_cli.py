@@ -173,14 +173,38 @@ def test_design_build_seed_defaults_to_zero(toy_instance, capsys):
     assert capsys.readouterr().out == unseeded
 
 
+def _lrsnet_env():
+    src = os.path.dirname(os.path.dirname(lrsnet.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_successive_main_calls_match_separate_processes(toy_instance, tmp_path, capsys):
+    # main reuses one parser: no value or default of a call may reach the next
+    pattern = tmp_path / "micro.pattern"
+    pattern.write_text("2\n1\n")
+    micro = ["construct", str(pattern), "--n", "4", "--parts", "2,2", "--q", "3", "--m", "2"]
+    calls = [micro + ["--seed", "3"], micro,
+             ["design", toy_instance, "--build", "--seed", "5"], ["design", toy_instance],
+             micro + ["--seed", "-1"], micro, ["check", str(pattern), "--n", "4"]]
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "lrsnet", *argv], capture_output=True,
+                              text=True, env=_lrsnet_env(), timeout=60)
+        assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert json.loads(captured.out)["holds"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--build"]], ids=["design", "design-build"])
 def test_closed_output_pipe_exits_zero_quietly(extra, toy_instance):
     # as in `lrsnet design toy.json --build | head -1` once head has exited:
     # the read end is closed before the first write, so the report's own
     # print (--build) or the final flush of a short report hits EPIPE
-    src = os.path.dirname(os.path.dirname(lrsnet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _lrsnet_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

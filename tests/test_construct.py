@@ -1,14 +1,14 @@
 """Constrained generator synthesis, support verification, subcode fallback,
 and multiplication matrices of skew polynomials as an oracle of skew_mul."""
 
+import hashlib
 import random
 
 import pytest
 
-from lrsnet.constraints import ConditionViolation, SupportConstraint
+from lrsnet.constraints import ConditionViolation, SupportConstraint, derive_zero_sets
 from lrsnet.construct import (
     SynthesisError,
-    _zero_set_polynomial,
     from_json,
     row_transform,
     subcode_generator,
@@ -18,7 +18,7 @@ from lrsnet.construct import (
 )
 from lrsnet.gf import make_field, mat_det, mat_mul, mat_rank, vec_mat
 from lrsnet.lrs import generator_matrix, locators, make_code
-from lrsnet.skewpoly import SkewPoly, skew_mul
+from lrsnet.skewpoly import SkewPoly, minimal_polynomial, skew_mul
 from lrsnet.sumrank import OrderedPartition, min_distance_bruteforce
 
 F9 = make_field(3, 1, 2)
@@ -59,8 +59,6 @@ def test_row_transform_monic_last_column():
 def test_row_transform_zero_locator_row():
     # a zero set pointing at locator 0 is impossible for valid codes, but the
     # minimal polynomial of {0} alone is X: exercised via the polynomial API
-    from lrsnet.skewpoly import minimal_polynomial
-
     assert minimal_polynomial(F9, [0]) == SkewPoly(F9, (0, 1))
 
 
@@ -68,6 +66,26 @@ def test_row_transform_requires_completion():
     code = micro_code()
     with pytest.raises(ValueError, match="completed"):
         row_transform(code, SupportConstraint(4, 2, (frozenset(), {1})))
+
+
+# Pinned `synthesize` outputs on toy-shaped patterns: the toy access
+# structure with longer messages, so each message's rows share its derived
+# columns and completion to k - 1 zeros makes the zero sets overlap heavily.
+# Both fields lie past the log tables (p = 2 carry-less, prime q Kronecker).
+SYNTHESIS_GOLDEN_SHA256 = {
+    ((4, 4, 4, 4), (6, 7, 6, 8), (9, 9, 9), (2, 2, 17)):
+        "0f6557296bc3d95a36465444b72ec30fa1a1474d3589f3bc0d1abfe79b4bfaa8",
+    ((3, 4, 3, 2), (5, 7, 6, 8), (13, 13), (3, 1, 14)):
+        "28032d7429084405da076bfe598ec1db3450d774d7221b9aa773533628545986",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SYNTHESIS_GOLDEN_SHA256), ids=lambda s: f"k={sum(s[0])}")
+def test_synthesize_toy_shaped_golden(shape):
+    messages, sources, parts, pem = shape
+    sc = derive_zero_sets([{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}], messages, sources)
+    cc = synthesize(make_field(*pem), OrderedPartition(parts), sc.k, sc, seed=0)
+    assert hashlib.sha256(to_json(cc).encode()).hexdigest() == SYNTHESIS_GOLDEN_SHA256[shape]
 
 
 def test_synthesize_micro_first_attempt():
@@ -175,7 +193,10 @@ def shifted_minimal_polynomial(code, zero_set, shift: int) -> SkewPoly:
     """X^shift times the minimal polynomial of the zero set's locators."""
     t = code.tower
     x_shift = SkewPoly(t, (0,) * shift + (1,))
-    return x_shift * _zero_set_polynomial(t, locators(code), zero_set)
+    if not zero_set:
+        return x_shift
+    locs = locators(code)
+    return x_shift * minimal_polynomial(t, [locs[j - 1] for j in sorted(zero_set)])
 
 
 def test_skew_mult_matrix_shapes():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lrsnet.gf import (
     mat_inv,
     mat_mul,
     mat_rank,
+    prime_power,
 )
 
 
@@ -396,6 +398,14 @@ def test_mul_matches_polynomial_product(tower, data):
     assert tower.sub(a, b) == tower.add(a, tower.neg(b))
 
 
+@pytest.mark.parametrize("tower", ROUTE_TOWERS + [make_field(3, 1, 3)], ids=repr)
+@_route_settings
+@given(data=st.data())
+def test_mul_by_one_returns_the_other_operand(tower, data):
+    a = data.draw(_element(tower))
+    assert tower.mul(a, 1) == tower.mul(1, a) == a
+
+
 @pytest.mark.parametrize("tower", ROUTE_TOWERS, ids=_route_ids)
 @_route_settings
 @given(data=st.data())
@@ -610,3 +620,55 @@ def test_product_encodings_golden():
             out = (tower.mul(a, b), tower.inv(a), tower.frobenius(b, i))
             digest.update(repr((pem, a, b, i, out)).encode())
     assert digest.hexdigest() == PRODUCT_GOLDEN_SHA256
+
+
+def _prime_power_by_trial_division(limit):
+    """n -> (p, e) for every prime power n <= limit, from a sieve of
+    smallest prime factors."""
+    spf = list(range(limit + 1))
+    for p in range(2, int(limit ** 0.5) + 1):
+        if spf[p] == p:
+            for j in range(p * p, limit + 1, p):
+                if spf[j] == j:
+                    spf[j] = p
+    out = {}
+    for n in range(2, limit + 1):
+        p, rest, e = spf[n], n, 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if rest == 1:
+            out[n] = (p, e)
+    return out
+
+
+def test_prime_power_matches_trial_division():
+    expected = _prime_power_by_trial_division(10 ** 5)
+    assert all(prime_power(n) == expected.get(n) for n in range(-2, 10 ** 5 + 1))
+
+
+def test_prime_power_of_large_orders():
+    mersenne = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert prime_power(mersenne) == (mersenne, 1)
+    assert prime_power(3 ** 40) == (3, 40)
+    assert prime_power(mersenne ** 2) == (mersenne, 2)
+    assert prime_power(2 ** 64) == (2, 64)
+    assert prime_power((2 * mersenne) ** 2) is None
+    assert prime_power(3 * (2 ** 31 - 1) ** 2) is None
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [2 ** 89 - 1, (2 ** 89 - 1) ** 2], ids=["prime", "square"])
+def test_prime_power_refuses_past_the_deterministic_range(n):
+    # 2^89 - 1 is prime, but Miller-Rabin on fixed bases only says probably
+    with pytest.raises(ValueError, match="deterministic"):
+        prime_power(n)
+
+
+def test_prime_power_answers_certain_composites_past_the_range():
+    # a Miller-Rabin witness proves compositeness at any size
+    big = 2 ** 89 - 1
+    assert prime_power(3 * big) is None
+    assert prime_power(big * (2 ** 61 - 1)) is None
+    assert prime_power(2 ** 100) == (2, 100)

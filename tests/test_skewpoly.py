@@ -1,11 +1,14 @@
 """Skew ring arithmetic, evaluation oracles, lclm/gcrd, minimal polynomials."""
 
+import contextlib
 import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrsnet.gf import make_field
+from lrsnet.gf import FieldTower, make_field
 from lrsnet.skewpoly import (
     NEG_INF,
     SkewPoly,
@@ -15,6 +18,7 @@ from lrsnet.skewpoly import (
     is_p_independent,
     lclm,
     minimal_polynomial,
+    minimal_polynomials,
     right_div,
     roots_in_field,
     skew_mul,
@@ -383,3 +387,82 @@ def test_text_form():
     f = SkewPoly(F9, (2, 0, 1))
     assert f.to_text() == "2 + 1*X^2"
     assert SkewPoly.zero(F9).to_text() == "0"
+
+
+# ----------------------------------------------------------------------
+# Newton interpolation without inverses, alone and batched with shared
+# prefixes, against the lclm of the linear factors (X - a).  Towers: p = 2
+# past the log tables, the Kronecker product (q = 5), the F_q polynomial
+# product (q = 9) and the log tables of F_27.
+
+NEWTON_TOWERS = [make_field(2, 2, 10), make_field(5, 1, 10), make_field(3, 2, 6), F27]
+_newton_settings = settings(max_examples=25, deadline=None)
+
+
+def _lclm_oracle(tower, points):
+    if not points:
+        return SkewPoly.one(tower)
+    return functools.reduce(lclm, [SkewPoly.x_minus(tower, a) for a in points])
+
+
+@st.composite
+def _point_pool(draw, tower):
+    """Locator-like points rep * b^(q-1), with P-dependent extras
+    rep * (b + b')^(q-1) from the span of a class's multipliers, and
+    sometimes 0 or arbitrary elements."""
+    element = st.integers(1, tower.order - 1)
+    reps = draw(st.lists(st.sampled_from([1, tower.gamma]), min_size=1, max_size=4))
+    mults = [draw(element) for _ in reps]
+    points = [tower.mul(rep, tower.pow(b, tower.q - 1)) for rep, b in zip(reps, mults)]
+    for i in range(1, len(reps)):
+        b = tower.add(mults[i - 1], mults[i])
+        if reps[i - 1] == reps[i] and b:
+            points.append(tower.mul(reps[i], tower.pow(b, tower.q - 1)))
+    return points + draw(st.lists(st.one_of(st.just(0), element), max_size=2))
+
+
+@st.composite
+def _point_family(draw, tower):
+    """Overlapping point sets drawn from one pool, repeats allowed."""
+    pool = draw(_point_pool(tower))
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), min_size=1, max_size=4))
+
+
+@contextlib.contextmanager
+def _counted_inversions():
+    calls = []
+    inv = FieldTower.inv
+
+    def counting(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    FieldTower.inv = counting
+    try:
+        yield calls
+    finally:
+        FieldTower.inv = inv
+
+
+@pytest.mark.parametrize("tower", NEWTON_TOWERS, ids=repr)
+@_newton_settings
+@given(data=st.data())
+def test_minimal_polynomial_matches_lclm_with_one_inversion(tower, data):
+    points = data.draw(_point_family(tower))[0] or [0]
+    with _counted_inversions() as calls:
+        f = minimal_polynomial(tower, points)
+    assert len(calls) <= 1
+    assert f == _lclm_oracle(tower, points)
+
+
+@pytest.mark.parametrize("tower", NEWTON_TOWERS, ids=repr)
+@_newton_settings
+@given(data=st.data())
+def test_shared_prefix_batch_matches_lclm(tower, data):
+    family = data.draw(_point_family(tower))
+    with _counted_inversions() as calls:
+        polys = minimal_polynomials(tower, family)
+    assert len(calls) <= len(family)
+    assert polys == [_lclm_oracle(tower, s) for s in family]
+    assert polys == [minimal_polynomial(tower, s) if s else SkewPoly.one(tower)
+                     for s in family]
