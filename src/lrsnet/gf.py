@@ -10,7 +10,9 @@ The encoding is bit-exact and reproducible: a field is fully described by
 (p, e, m, base_modulus, top_modulus), all moduli given low-to-high as digit
 tuples.  When moduli are not supplied they are chosen as the
 lexicographically smallest monic candidates (ordering the coefficient
-vector as base-q digits), which makes construction deterministic.
+vector as base-q digits), which makes construction deterministic.  For
+m >= 2 the search starts past the binomials y^m + c, none of which is
+primitive.
 
 The top modulus is always chosen (and, if supplied, required) to have a
 primitive root, so ``gamma`` (the residue of y) generates the whole
@@ -33,7 +35,12 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 - Frobenius sigma^i: the F_q-linear map a -> sum_j T_i[j][a_j], with
   T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
 - inverse: extended Euclid over F_q[y] on ``_qpoly_divmod`` (oracle:
-  ``pow(a, q^m - 2)``).
+  ``pow(a, q^m - 2)``);
+- matrix product ``mat_mul`` (``vec_mat`` is its one-row case): one
+  product over F_p on the e m base-p digits of the entries, through the
+  structure tensor of the field, exact on float64 BLAS while k (e m)^2
+  (p - 1)^3 < 2^53 for k inner terms and on Python ints past it (oracle:
+  the scalar ``mul``/``add`` loop in the tests).
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8; ``FieldTower.expand`` and ``mat_inv`` serve the network
@@ -54,8 +61,18 @@ _NUMPY_TABLE_MAX = 512
 # `base_matrix_rank` keeps residues mod primes below this in int64, where
 # every product and sum fits; larger primes eliminate on Python ints.
 _INT64_PRIME_BOUND = 1 << 31
+# Encodings of fields up to this order fit in int64.
+_INT64_ORDER_BOUND = 1 << 63
+# `mat_mul` multiplies on float64 while every partial sum is an integer
+# below this, which float64 holds exactly.
+_FLOAT_EXACT_BOUND = 1 << 53
 # Exhaustive conjugacy-class enumeration guard.
 _CLASS_ENUM_MAX = 1 << 20
+# Entries (m q) of the table of one Frobenius power sigma^i; past it
+# `frobenius` refuses the field instead of grinding.  For prime q one entry
+# took 1.6 us at m = 2 and 5.7 us at m = 4 on a 2-vCPU Xeon, so a table at
+# the guard builds in 0.2 to 0.75 s.
+_FROBENIUS_TABLE_MAX = 1 << 17
 # Entries of the table that spreads several base-p digits at once.
 _SPREAD_TABLE_MAX = 1 << 10
 # Miller-Rabin on these bases is exact below the bound (Sorenson and
@@ -209,6 +226,11 @@ class FieldTower:
         self._base_np = None
         self._digits_np = None
         self._reduction_np = None
+        # digit d of an encoding has weight p^d (int64 while every encoding
+        # fits); set once the moduli have validated m
+        self._digit_weights = np.array([p ** d for d in range(self._ndigits)],
+                                       dtype=np.int64 if self.order <= _INT64_ORDER_BOUND else object)
+        self._mul_tensor = None  # built on first use by `_structure_tensor`
 
     # ------------------------------------------------------------------
     # base field F_q = F_p[x]/(g)
@@ -304,7 +326,10 @@ class FieldTower:
 
     def _find_top_modulus(self):
         q, m = self.q, self.m
-        for low in range(q ** m):
+        # for m >= 2 the first q candidates are the binomials y^m + c; a root
+        # a has a^m in F_q, so its order divides m (q - 1) < q^m - 1 and
+        # none is primitive
+        for low in range(q if m >= 2 else 0, q ** m):
             f = tuple(_int_digits(low, q, m)) + (1,)
             if m >= 2 and not self._qpoly_irreducible(f):
                 continue
@@ -513,6 +538,9 @@ class FieldTower:
     def _frobenius_rows(self, i: int):
         """T_i[j][c] = c * sigma^i(y^j) over j < m and c in F_q; for odd p in
         slot form, so a sum of m entries is taken mod p once."""
+        if self.m * self.q > _FROBENIUS_TABLE_MAX:
+            raise ValueError(f"the Frobenius table of F_{self.q}^{self.m} needs m q = "
+                             f"{self.m * self.q} entries, past the guard {_FROBENIUS_TABLE_MAX}")
         step = self.pow(self.gamma, self.q ** i)  # sigma^i(y)
         rows, v = [], 1
         for _ in range(self.m):
@@ -719,6 +747,19 @@ class FieldTower:
             self._base_np = (add, mul, neg, inv)
         return self._base_np
 
+    def _structure_tensor(self):
+        """em x em x em array S of the F_p structure constants: S[u, v] holds
+        the base-p digits of p^u p^v, where the encodings p^u are the basis
+        x^r y^i (u = e i + r).  Built on first use from em (em + 1) / 2 products."""
+        if self._mul_tensor is None:
+            p, em = self.p, self._ndigits
+            S = np.zeros((em, em, em), dtype=np.int64 if p < _INT64_ORDER_BOUND else object)
+            for u in range(em):
+                for v in range(u, em):
+                    S[u, v] = S[v, u] = _int_digits(self.mul(p ** u, p ** v), p, em)
+            self._mul_tensor = S
+        return self._mul_tensor
+
     def _digit_table(self):
         """m x order array whose row i holds base-q digit i of every element."""
         if self._digits_np is None:
@@ -847,25 +888,42 @@ def make_field(p: int, e: int = 1, m: int = 1, base_modulus=None, top_modulus=No
 # matrices over the top field (lists of lists of encodings)
 
 def mat_mul(tower: FieldTower, A, B):
+    """A B for an n x k matrix A and a k x c matrix B over F_{q^m}.
+
+    Multiplication by a is F_p-linear on the em = e m base-p digits, so
+    contracting A's digits with the structure tensor S gives every entry's
+    em x em multiplication block, and A B is one (n em) x (k em) by
+    (k em) x c product over F_p, taken mod p once per output digit.  Each
+    partial sum is a sum of k em terms below em (p - 1)^3, so the product
+    runs on float64 BLAS while k em^2 (p - 1)^3 < 2^53 and on Python ints
+    past it.
+    """
     n, k = len(A), len(B)
     cols = len(B[0]) if k else 0
-    out = [[0] * cols for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            Oi = out[i]
-            for j in range(cols):
-                if Bt[j]:
-                    Oi[j] = tower.add(Oi[j], tower.mul(a, Bt[j]))
-    return out
+    if not (n and k and cols):
+        return [[0] * cols for _ in range(n)]
+    p, em = tower.p, tower._ndigits
+    dtype = np.float64 if k * em * em * (p - 1) ** 3 < _FLOAT_EXACT_BOUND else object
+    S = tower._structure_tensor().reshape(em, em * em).astype(dtype)
+    # blocks[i, t, v, d]: digit d of A[i][t] p^v
+    blocks = _digit_tensor(tower, A).reshape(n * k, em).astype(dtype) @ S
+    lhs = blocks.reshape(n, k, em, em).transpose(0, 3, 1, 2).reshape(n * em, k * em)
+    rhs = _digit_tensor(tower, B).transpose(0, 2, 1).reshape(k * em, cols).astype(dtype)
+    sums = lhs @ rhs
+    if dtype is np.float64:
+        sums = sums.astype(np.int64)  # exact, and int64 % beats float %
+    return (tower._digit_weights @ (sums % p).reshape(n, em, cols)).tolist()
 
 
 def vec_mat(tower: FieldTower, v, A):
     return mat_mul(tower, [list(v)], A)[0]
+
+
+def _digit_tensor(tower: FieldTower, M):
+    """rows x cols x em array of the base-p digits of a matrix's entries,
+    int64 for orders up to 2^63 and Python ints past them."""
+    weights = tower._digit_weights
+    return np.array(M, dtype=weights.dtype)[..., None] // weights % tower.p
 
 
 def mat_rank(tower: FieldTower, A) -> int:

@@ -24,7 +24,10 @@ from lrsnet.constraints import (
     format_pattern,
     suggest_field_params,
 )
+from lrsnet.gf import make_field
+from lrsnet.lrs import make_code
 from lrsnet.netsim import NetworkInstance, build_distributed_code, even_partition
+from lrsnet.sumrank import OrderedPartition
 
 TOY_JSON = json.dumps({
     "h": 4, "r": [1, 3, 2, 3],
@@ -396,6 +399,23 @@ def test_construct_q_not_prime_power_exit_code(tmp_path, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+# a prime: F_q^2 builds at once, but one Frobenius table would need 2q entries
+BIG_Q = 2 ** 61 - 1
+
+
+def test_construct_past_the_frobenius_guard_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    start = time.perf_counter()
+    rc = main(["construct", str(path), "--n", "4", "--parts", "2,2",
+               "--q", str(BIG_Q), "--m", "2"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "Frobenius table" in captured.err
+    assert captured.out == ""
+
+
 def test_construct_parts_mismatch_exit_code(tmp_path, capsys):
     path = tmp_path / "p.pattern"
     path.write_text("2\n1\n")
@@ -603,6 +623,24 @@ def test_simulate_rejects_code_of_another_design(toy_built_design, tmp_path, cap
     doc = copy.deepcopy(toy_built_design)
     doc["code"] = json.loads(code_path.read_text())
     _simulate_rejects(doc, tmp_path, capsys, "does not match the design")
+
+
+def test_simulate_rejects_code_past_the_frobenius_guard(toy_built_design, tmp_path, capsys):
+    # a well-formed code over F_q^2, q = 2^61 - 1: loading re-checks its rows
+    # against T * G_LRS, whose generator needs the Frobenius table
+    tower = make_field(BIG_Q, 1, 2)
+    code = make_code(tower, OrderedPartition((2, 2)), 2)
+    doc = copy.deepcopy(toy_built_design)
+    doc["code"] = {
+        "field": tower.spec(), "partition": [2, 2], "k": 2, "cover_dim": 2,
+        "representatives": list(code.reps),
+        "multipliers": [list(b) for b in code.multipliers],
+        "zero_sets": [[2], [1]], "attempts": 1,
+        "transform_csv": "1,0\n0,1", "matrix_csv": "0,1,1,1\n1,0,1,1",
+    }
+    start = time.perf_counter()
+    _simulate_rejects(doc, tmp_path, capsys, "Frobenius table")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_simulate_rejects_code_missing_a_derived_zero(toy_built_design, tmp_path, capsys):

@@ -19,6 +19,7 @@ from lrsnet.gf import (
     mat_mul,
     mat_rank,
     prime_power,
+    vec_mat,
 )
 
 
@@ -620,6 +621,129 @@ def test_product_encodings_golden():
             out = (tower.mul(a, b), tower.inv(a), tower.frobenius(b, i))
             digest.update(repr((pem, a, b, i, out)).encode())
     assert digest.hexdigest() == PRODUCT_GOLDEN_SHA256
+
+
+# ----------------------------------------------------------------------
+# Matrix products against the scalar loop, one `mul` and one `add` per term.
+# Towers: log tables (F_27, F_81), p = 2 with e = 2 (F_{4^10}), prime q
+# (F_{5^10}), odd p with e >= 2 (F_{9^6}), an order past 2^63 (digits on
+# Python ints, F_{3^40}), and primes past the float64 bound, where the
+# contraction runs on Python ints: F_{2^61 - 1}, F_{(2^31 - 1)^2} (int64
+# digits) and F_{(2^61 - 1)^2} (Python-int digits).
+
+MATMUL_TOWERS = [make_field(*pem) for pem in (
+    (3, 1, 3), (3, 1, 4), (2, 2, 10), (5, 1, 10), (3, 2, 6), (3, 1, 40),
+    (2 ** 61 - 1, 1, 1), (2 ** 31 - 1, 1, 2), (2 ** 61 - 1, 1, 2))]
+
+
+def _scalar_mat_mul(tower, A, B):
+    cols = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = [0] * cols
+        for a, brow in zip(row, B):
+            acc = [tower.add(x, tower.mul(a, b)) for x, b in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def _product_operands(draw, tower):
+    """A (n x k) and B (k x c) with n, k, c down to 0, and with some
+    chance an all-zero row of A and an all-zero column of B."""
+    n, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = _element(tower)
+    A = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    B = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    if n and draw(st.booleans()):
+        A[draw(st.integers(0, n - 1))] = [0] * k
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in B:
+            row[j] = 0
+    return A, B
+
+
+@pytest.mark.parametrize("tower", MATMUL_TOWERS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_scalar_loop(tower, data):
+    A, B = data.draw(_product_operands(tower))
+    want = _scalar_mat_mul(tower, A, B)
+    got = mat_mul(tower, A, B)
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+    for row, want_row in zip(A, want):
+        assert vec_mat(tower, row, B) == want_row
+
+
+@pytest.mark.parametrize("tower", MATMUL_TOWERS, ids=repr)
+def test_mat_mul_edge_shapes(tower):
+    top = tower.order - 1
+    assert mat_mul(tower, [], [[1, 2]]) == []
+    assert mat_mul(tower, [[], []], []) == [[], []]
+    assert mat_mul(tower, [[top]], [[]]) == [[]]
+    assert mat_mul(tower, [[top]], [[top]]) == [[tower.mul(top, top)]]
+    assert vec_mat(tower, [tower.gamma], [[1, 0, top]]) == [tower.gamma, 0,
+                                                            tower.mul(tower.gamma, top)]
+
+
+@pytest.mark.parametrize("k", [31, 32], ids=["float64", "python-int"])
+def test_mat_mul_at_the_float_bound(k):
+    # over F_65537 the bound k (p - 1)^3 = k 2^48 crosses 2^53 between k = 31
+    # and 32: k = 31 multiplies on float64, k = 32 on Python ints
+    tower = make_field(65537)
+    top = tower.order - 1
+    assert mat_mul(tower, [[top] * k] * 2, [[top] * 3] * k) == [[k] * 3] * 2
+
+
+def _first_primitive_modulus(tower):
+    """The first monic f of degree m, with its low coefficients counted up
+    as base-q digits from y^m, modulo which y has multiplicative order
+    q^m - 1; then F_q[y]/(f) is a field, so f is irreducible and primitive.
+    The order is found by multiplying by y, one shift and one fold a step."""
+    q, m = tower.q, tower.m
+    one = [1] + [0] * (m - 1)
+    for low in range(q ** m):
+        f = [low // q ** i % q for i in range(m)]
+        v, order = one, 0
+        while True:
+            top, v = v[-1], [0] + v[:-1]
+            v = [tower.base_sub(x, tower.base_mul(top, c)) for x, c in zip(v, f)]
+            order += 1
+            if v == one or order == q ** m - 1:
+                break
+        if v == one and order == q ** m - 1:
+            return tuple(f) + (1,)
+    raise AssertionError("no primitive modulus")
+
+
+@pytest.mark.parametrize("pem", [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 1, 8), (2, 1, 10),
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (5, 1, 2), (5, 1, 3), (5, 1, 4),
+    (7, 1, 1), (7, 1, 2), (7, 1, 3), (11, 1, 2), (13, 1, 1), (13, 1, 2), (31, 1, 2),
+    (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3),
+    (5, 2, 2), (2, 4, 2)], ids=str)
+def test_top_modulus_search_matches_plain_enumeration(pem):
+    tower = FieldTower(*pem)
+    assert tower.top_modulus == _first_primitive_modulus(tower)
+
+
+def test_top_modulus_search_of_large_prime_q():
+    # the q binomials y^2 + c come first in the candidate order and none is
+    # primitive, so the first primitive modulus lies past them
+    start = time.perf_counter()
+    assert FieldTower(65521, 1, 2).top_modulus == (29, 1, 1)
+    assert FieldTower(2 ** 61 - 1, 1, 2).top_modulus == (43, 1, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frobenius_table_guard():
+    # one table of F_65537^2 holds 2 * 65537 entries, past the guard
+    tower = make_field(65537, 1, 2)
+    with pytest.raises(ValueError, match="Frobenius table"):
+        tower.frobenius(tower.gamma)
+    assert tower.frobenius(tower.gamma, 2) == tower.gamma  # sigma^m needs no table
 
 
 def _prime_power_by_trial_division(limit):
