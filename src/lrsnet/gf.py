@@ -42,6 +42,21 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
   (p - 1)^3 < 2^53 for k inner terms and on Python ints past it (oracle:
   the scalar ``mul``/``add`` loop in the tests).
 
+Ranks over F_q (``FieldTower.base_matrix_rank``, ``base_block_ranks`` and
+``rank_over_base``), each checked in the tests against ``_eliminate``:
+
+- p = 2: ``_packed_rank`` on vectors packed into ints, e bits per entry, so
+  adding two is one XOR; each pivot keeps the q-entry table of its F_q
+  multiples.  Matrix columns are packed by int64 shift-sums, and a top-field
+  encoding already is its packed vector of m digits;
+- odd p: ``_numpy_rank``, a numpy elimination by mod-p arithmetic for prime
+  q and by F_q table gathers otherwise, and ``_eliminate`` on the digit
+  lists of ``rank_over_base``.
+
+``_eliminate``, the list elimination that scales each pivot row, is the
+oracle of both and the kernel of the F_{q^m} matrices (``mat_rank``,
+``mat_det``, ``mat_inv``).
+
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8; ``FieldTower.expand`` and ``mat_inv`` serve the network
 decoding path that ``netsim`` keeps.
@@ -671,8 +686,14 @@ class FieldTower:
         return np.array(cols, dtype=np.int64).T.reshape(self.m, len(cols))
 
     def rank_over_base(self, vec) -> int:
-        # the rank of expand(vec), taken on its transpose; a few short digit
-        # lists eliminate faster as Python lists than through numpy
+        """F_q-rank of a list of F_{q^m} elements, the rank of `expand(vec)`.
+
+        For p = 2 an encoding already is its packed vector of m base-field
+        digits, so the elements go to `_packed_rank` as they are; for odd p
+        their digit lists go to `_eliminate`, which beats numpy on a few
+        short rows."""
+        if self._p2:
+            return self._packed_rank([int(v) for v in vec], self.m)
         rows = [self.digits(v) for v in vec]
         return len(_eliminate(rows, self.m, self.base_inv, self.base_mul, self.base_sub)[0])
 
@@ -681,21 +702,102 @@ class FieldTower:
         return self.rank_over_base(elems) == len(elems)
 
     def base_matrix_rank(self, mat) -> int:
-        """Rank over F_q of a matrix of base-field encodings.
+        """Rank over F_q of a matrix of base-field encodings; `ValueError`
+        on an entry outside 0 .. q - 1.  The one-block case of
+        `base_block_ranks`."""
+        M = self._base_matrix(mat)
+        return self._block_ranks(M, ((0, M.shape[1]),))[0] if M.size else 0
 
-        One forward elimination on an int64 copy (Python ints for primes past
-        `_INT64_PRIME_BOUND`) with no more rows than columns.  Rows are taken in
-        order: one that the earlier pivots left nonzero is the next pivot, and
-        its first nonzero column is cleared from all rows below it at once,
-        by mod-p arithmetic for prime q and by the F_q table gathers
-        otherwise (the two cases of `base_mat_mul`).  Pivoting on rows needs
-        no row swaps, and the elimination stops once the rows left are zero.
+    def base_block_ranks(self, mat, slices):
+        """F_q-ranks of the column blocks mat[:, a:b] of one matrix of
+        base-field encodings, one per (a, b) in `slices`; `ValueError` on an
+        entry outside 0 .. q - 1, checked once for the whole matrix."""
+        return self._block_ranks(self._base_matrix(mat), slices)
+
+    def _base_matrix(self, mat) -> np.ndarray:
+        """`mat` as an array of base-field encodings (int64, or Python ints
+        for primes past `_INT64_PRIME_BOUND`), checked to lie in 0 .. q - 1:
+        numpy would read a negative entry as an index from the end, and a
+        packed entry past q - 1 would spill into the next one."""
+        M = np.asarray(mat, dtype=np.int64 if self.p < _INT64_PRIME_BOUND else object)
+        if M.size and (M.min() < 0 or M.max() >= self.q):
+            bad = M[(M < 0) | (M >= self.q)].flat[0]
+            raise ValueError(f"matrix entry {bad!r} is not an element of F_{self.q}")
+        return M
+
+    def _block_ranks(self, M, slices):
+        """Ranks of the column blocks of a checked matrix, each the rank of
+        its columns: for p = 2 the columns are packed once and each block
+        ranks its slice of them with `_packed_rank`; for odd p each block
+        goes to `_numpy_rank`."""
+        if not self._p2:
+            return [self._numpy_rank(M[:, a:b]) for a, b in slices]
+        cols = self._pack_columns(M)
+        return [self._packed_rank(cols[a:b], M.shape[0]) for a, b in slices]
+
+    def _pack_columns(self, M):
+        """Columns of an F_{2^e} matrix as ints, entry i in bits [e i, e i + e),
+        from one int64 shift-sum per chunk of at most 62 bits."""
+        e = self.e
+        out = [0] * M.shape[1]
+        for a, shifts in _packed_chunks(e, M.shape[0]):
+            chunk = (M[a:a + len(shifts)] << shifts).sum(axis=0).tolist()
+            out = chunk if a == 0 else [r | c << e * a for r, c in zip(out, chunk)]
+        return out
+
+    def _packed_rank(self, vecs, width) -> int:
+        """F_q-rank, p = 2, of vectors of `width` entries packed as ints
+        (entry j in bits [e j, e j + e), so adding two vectors is one XOR).
+
+        Each vector is reduced in order by the earlier pivots.  A vector left
+        nonzero is the next pivot at its lowest nonzero entry j, with the
+        q-entry table T[c] = (c / lead) v of the multiples that clear entry j
+        when it holds c, so reducing is v ^= T[entry j of v].  The table is
+        built from the shifts x^t v, the step `_binary_mul` takes per digit,
+        and from row inv(lead) of the base `mul` table.  A reduced vector is
+        zero at every earlier pivot's entry, so the pivots are independent
+        and the rank is their count; the loop stops once it reaches `width`.
         """
-        M = np.array(mat, dtype=np.int64 if self.p < _INT64_PRIME_BOUND else object)
+        e, q = self.e, self.q
+        digit = q - 1
+        if e > 1:
+            tops = _packed_tops(e, width)
+            low = self._base_low
+            mul, inv = self._base_mul_tab, self._base_inv_tab
+        pivots = []  # (bit offset of the pivot entry, table of multiples)
+        for v in vecs:
+            for shift, table in pivots:
+                v ^= table[v >> shift & digit]
+            if not v:
+                continue
+            shift = ((v & -v).bit_length() - 1) // e * e
+            if e == 1:
+                table = (0, v)
+            else:
+                # mults[s] = s v: bit t of s adds x^t v
+                lead = v >> shift & digit
+                mults = [0, v]
+                for _ in range(e - 1):
+                    top = v & tops
+                    v = (v ^ top) << 1 ^ (top >> (e - 1)) * low
+                    mults += [w ^ v for w in mults]
+                table = [mults[s] for s in mul[inv[lead]]]
+            pivots.append((shift, table))
+            if len(pivots) == width:
+                break
+        return len(pivots)
+
+    def _numpy_rank(self, M) -> int:
+        """Rank of an odd-p F_q matrix by one forward elimination on a copy,
+        taken with no more rows than columns.  Rows are taken in order: one
+        that the earlier pivots left nonzero is the next pivot, and its first
+        nonzero column is cleared from all rows below it at once, by mod-p
+        arithmetic for prime q and by the F_q table gathers otherwise (the
+        two cases of `base_mat_mul`).  Pivoting on rows needs no row swaps,
+        and the elimination stops once the rows left are zero."""
         if M.size == 0:
             return 0
-        if M.shape[0] > M.shape[1]:
-            M = M.T.copy()
+        M = M.T.copy() if M.shape[0] > M.shape[1] else M.copy()
         if self.e == 1:
             p = self.p
         else:
@@ -967,9 +1069,9 @@ def _eliminate(rows, ncols, inv, mul, sub):
     it, which leaves a row-echelon form.  Returns the pivots as found, before
     scaling (their count is the rank), and the number of row swaps.
 
-    It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`) and
-    the short digit lists of `FieldTower.rank_over_base`, and is the oracle
-    of the numpy F_q kernel in `FieldTower.base_matrix_rank`.
+    It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`) and,
+    for odd p, the short digit lists of `FieldTower.rank_over_base`, and is
+    the oracle of the packed and numpy F_q rank kernels.
     """
     pivots = []
     swaps = 0
@@ -1012,6 +1114,21 @@ def _digits_int(digits, base: int) -> int:
     for d in reversed(list(digits)):
         out = out * base + d
     return out
+
+
+@lru_cache(maxsize=None)
+def _packed_chunks(e: int, width: int):
+    """(first entry, int64 column of bit offsets e i) of each chunk of at
+    most 62 bits of a packed vector of `width` entries over F_{2^e}."""
+    step = 62 // e
+    return tuple((a, np.arange(min(step, width - a), dtype=np.int64)[:, None] * e)
+                 for a in range(0, width, step))
+
+
+@lru_cache(maxsize=None)
+def _packed_tops(e: int, width: int) -> int:
+    """Mask of bit e - 1 of each of `width` packed e-bit entries."""
+    return _digits_int([1] * width, 1 << e) << (e - 1)
 
 
 def _digitwise_mod_add(a: int, b: int, p: int, length: int) -> int:

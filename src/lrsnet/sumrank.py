@@ -76,13 +76,14 @@ def sum_rank_weight(tower: FieldTower, x, part: OrderedPartition) -> int:
 
 
 def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition) -> int:
-    """Sum of the ranks of the column blocks of an F_q matrix.  A block has
-    the rank of its transpose, so a row-partitioned matrix is passed
-    transposed."""
+    """Sum of the ranks of the column blocks of an F_q matrix, all ranked by
+    one `FieldTower.base_block_ranks` call (for p = 2 on columns packed once);
+    `ValueError` on an entry outside 0 .. q - 1.  A block has the rank of
+    its transpose, so a row-partitioned matrix is passed transposed."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[1] != part.n:
         raise ValueError("column count does not match partition")
-    return sum(tower.base_matrix_rank(mat[:, a:b]) for a, b in part.slices())
+    return sum(tower.base_block_ranks(mat, part.slices()))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrsnet import gf
 from lrsnet.gf import (
     FieldTower,
     _eliminate,
@@ -21,6 +22,7 @@ from lrsnet.gf import (
     prime_power,
     vec_mat,
 )
+from lrsnet.sumrank import OrderedPartition, sum_rank_weight_matrix
 
 
 # Independent micro-oracle for F_9 used to freeze expected values: residues
@@ -518,9 +520,9 @@ def _oracle_rank(tower, M):
     return len(_eliminate(rows, M.shape[1], tower.base_inv, tower.base_mul, tower.base_sub)[0])
 
 
-# one tower per base field: the numpy F_q kernel on its mod-p route (F_2,
-# F_5, and a prime past int64 residues) and on its table route (F_4, F_8,
-# F_9), against the list elimination
+# one tower per base field: the packed kernel (F_2, F_4, F_8) and the numpy
+# kernel on its mod-p route (F_5, and a prime past int64 residues) and on
+# its table route (F_9), against the list elimination
 RANK_TOWERS = [make_field(2), make_field(5), make_field(2147483659),
                make_field(2, 2), make_field(2, 3), make_field(3, 2)]
 
@@ -543,6 +545,96 @@ def test_base_matrix_rank_matches_list_elimination(tower, data):
     assert tower.base_matrix_rank(M.tolist()) == want
 
 
+@st.composite
+def _packed_matrices(draw, tower):
+    """F_q matrices, p = 2, up to 62 // e + 4 on a side, so the packed
+    columns of the taller ones span more than one int64 chunk: dense,
+    all-zero, or products U V of rank at most 4, with zero rows, rows that
+    repeat others and a last row combining the others.  Bulk entries come
+    from a drawn numpy seed; the shape and the structure are drawn."""
+    q, side = tower.q, 62 // tower.e + 4
+    nrows, ncols = draw(st.integers(0, side)), draw(st.integers(0, side))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "zero", "low rank"]))
+    if kind == "dense":
+        M = rng.integers(0, q, (nrows, ncols))
+    elif kind == "zero":
+        M = np.zeros((nrows, ncols), dtype=np.int64)
+    else:
+        r = draw(st.integers(1, 4))
+        M = tower.base_mat_mul(rng.integers(0, q, (nrows, r)), rng.integers(0, q, (r, ncols)))
+    if nrows >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            M[draw(st.integers(0, nrows - 1))] = M[draw(st.integers(0, nrows - 1))]
+        if draw(st.booleans()):
+            M[draw(st.integers(0, nrows - 1))] = 0
+        if draw(st.booleans()):
+            M[-1] = tower.base_mat_mul(rng.integers(0, q, (1, nrows - 1)), M[:-1])[0]
+    return M
+
+
+@st.composite
+def _column_partition(draw, ncols):
+    parts = []
+    while sum(parts) < ncols:
+        parts.append(draw(st.integers(1, ncols - sum(parts))))
+    return OrderedPartition(parts)
+
+
+PACKED_TOWERS = [make_field(2), make_field(2, 2), make_field(2, 3), make_field(2, 4),
+                 make_field(2, 9)]
+
+
+@pytest.mark.parametrize("tower", PACKED_TOWERS, ids=[repr(t) for t in PACKED_TOWERS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_rank_matches_list_elimination(tower, data):
+    M = data.draw(_packed_matrices(tower))
+    want = _oracle_rank(tower, M)
+    assert tower.base_matrix_rank(M) == want
+    assert tower.base_matrix_rank(M.T) == want
+    assert tower.base_matrix_rank(M.tolist()) == want
+    if M.shape[1]:
+        # the blocks of one packed matrix against one list elimination each
+        part = data.draw(_column_partition(M.shape[1]))
+        blocks = sum(_oracle_rank(tower, M[:, a:b]) for a, b in part.slices())
+        assert sum_rank_weight_matrix(tower, M, part) == blocks
+
+
+def test_p2_ranks_take_only_the_packed_route(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("p = 2 left the packed route")
+
+    packed = []
+    pack = FieldTower._pack_columns
+    monkeypatch.setattr(gf, "_eliminate", forbidden)
+    monkeypatch.setattr(FieldTower, "_numpy_rank", forbidden)
+    monkeypatch.setattr(FieldTower, "_pack_columns", lambda t, M: packed.append(M.shape) or pack(t, M))
+    F4 = make_field(2, 2)
+    M = np.array([[1, 2, 3, 0, 1], [2, 3, 1, 0, 2], [0, 0, 0, 1, 1]])
+    assert F4.base_matrix_rank(M) == 2
+    assert sum_rank_weight_matrix(F4, M, OrderedPartition((2, 1, 2))) == 4
+    assert packed == [(3, 5), (3, 5)]  # once per matrix, not per block
+    F64 = make_field(2, 2, 3)
+    assert F64.rank_over_base([1, 4, 5, F64.mul(3, 5)]) == 2
+
+
+@pytest.mark.parametrize("tower,mat", [
+    (make_field(2, 2), [[1, -1], [1, 3]]),   # a numpy index read -1 as 3
+    (make_field(2, 2), [[1, 4], [0, 1]]),    # past the F_4 tables
+    (make_field(2), [[1, 0], [3, 0]]),       # mod 2 read 3 as 1
+    (make_field(3, 2), [[1, 9], [2, 0]]),
+    (make_field(5), [[-5, 1]]),
+])
+def test_base_rank_rejects_out_of_field_entries(tower, mat):
+    with pytest.raises(ValueError, match="not an element"):
+        tower.base_matrix_rank(mat)
+    with pytest.raises(ValueError, match="not an element"):
+        tower.base_matrix_rank(np.array(mat).T)
+    with pytest.raises(ValueError, match="not an element"):
+        sum_rank_weight_matrix(tower, mat, OrderedPartition((1,) * len(mat[0])))
+
+
 def test_base_matrix_rank_empty_and_fixed():
     F4 = make_field(2, 2, 1)
     assert F4.base_matrix_rank([]) == 0
@@ -554,7 +646,9 @@ def test_base_matrix_rank_empty_and_fixed():
     assert F4.base_matrix_rank([[1, 2], [2, 3]]) == 1
 
 
-@pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)
+# plus F_512 over F_8, where p = 2 packs m = 3 digits of e = 3 bits
+@pytest.mark.parametrize("tower", LINALG_TOWERS + [make_field(2, 3, 3)],
+                         ids=_tower_ids + ["FieldTower(p=2, e=3, m=3)"])
 @_linalg_settings
 @given(data=st.data())
 def test_rank_over_base_matches_expansion(tower, data):
@@ -562,7 +656,7 @@ def test_rank_over_base_matches_expansion(tower, data):
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, tower.order - 1))
     vec = data.draw(st.lists(entry, min_size=1, max_size=tower.m + 2))
     vec += data.draw(st.lists(st.sampled_from(vec), max_size=3))
-    assert tower.rank_over_base(vec) == tower.base_matrix_rank(tower.expand(vec))
+    assert tower.rank_over_base(vec) == _oracle_rank(tower, tower.expand(vec))
 
 
 @pytest.mark.parametrize("tower", LINALG_TOWERS, ids=_tower_ids)

@@ -643,3 +643,25 @@ def test_sample_channel_stream_golden(q):
             digest.update(repr((shape, seed, ch.A.tolist(), ch.E.tolist(),
                                 ch.rank_A)).encode())
     assert digest.hexdigest() == CHANNEL_STREAM_SHA256[q]
+
+
+# (n, M, q, ell) with n = N, t = 2 and rho = 2, each drawn at seeds 0-199:
+# the toy audit's shape over F_4 (the packed rank route) and an ell = 4
+# shape over F_5 (the numpy route); the audit reports were recorded on the
+# numpy elimination of every base field
+AUDIT_SHA256 = {
+    (23, 33, 4, 3): "e5509ed20452829b0828f3e3eddf5317f8fac67009cfddf9f2a934878cfd584c",
+    (27, 37, 5, 4): "454510debf974c8e17e3d82d0593db345603fa1ec97bc383fdc8a42984f8ef36",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AUDIT_SHA256))
+def test_audit_weights_golden(shape):
+    n, M, q, ell = shape
+    part = even_partition(n, ell)
+    digest = hashlib.sha256()
+    for seed in range(200):
+        ch = sample_channel(n, n, M, 2, 2, q, seed=seed)
+        rep = audit_weights(ch, part, part)
+        digest.update(repr((seed, sorted(rep.items()))).encode())
+    assert digest.hexdigest() == AUDIT_SHA256[shape]

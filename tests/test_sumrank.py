@@ -90,6 +90,28 @@ def test_matrix_weight_rank_one_bounds():
         assert 1 <= w <= 3
 
 
+# the paper's two special cases of the sum-rank metric on F_q matrices, on
+# the packed route (F_4) and on both numpy routes (F_5, F_9)
+METRIC_TOWERS = [make_field(2, 2), make_field(5), make_field(3, 2)]
+
+
+@pytest.mark.parametrize("tower", METRIC_TOWERS, ids=[repr(t) for t in METRIC_TOWERS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matrix_weight_special_cases(tower, data):
+    nrows, ncols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    M = rng.integers(0, tower.q, (nrows, ncols))
+    M[:, data.draw(st.lists(st.integers(0, ncols - 1), max_size=ncols))] = 0
+    if data.draw(st.booleans()):
+        M[:, -1] = M[:, 0]  # a repeated column
+    # all blocks of size one: the Hamming weight, counting nonzero columns
+    hamming = int(M.any(axis=0).sum())
+    assert sum_rank_weight_matrix(tower, M, OrderedPartition((1,) * ncols)) == hamming
+    # one block: the rank weight
+    assert sum_rank_weight_matrix(tower, M, OrderedPartition((ncols,))) == tower.base_matrix_rank(M)
+
+
 def test_rank_sumrank_sandwich_for_matrices():
     rng = random.Random(4)
     for _ in range(50):
