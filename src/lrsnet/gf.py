@@ -55,11 +55,14 @@ Ranks over F_q (``FieldTower.base_matrix_rank``, ``base_block_ranks`` and
 
 ``_eliminate``, the list elimination that scales each pivot row, is the
 oracle of both and the kernel of the F_{q^m} matrices (``mat_rank``,
-``mat_det``, ``mat_inv``).
+``mat_det``, ``mat_inv``).  ``FieldTower.numpy_tables`` builds the order x
+order add, mul and reduction tables of brute force once per field, and is
+the one check of their guard.
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
-paper criterion 8; ``FieldTower.expand`` and ``mat_inv`` serve the network
-decoding path that ``netsim`` keeps.
+paper criterion 8 and is the oracle of ``FieldTower.conjugate_to``, which
+``lrs.validate`` runs as one norm per representative; ``FieldTower.expand``
+and ``mat_inv`` serve the network decoding path that ``netsim`` keeps.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import numpy as np
 # Tables of gamma-powers are kept for fields up to this order; they make
 # scalar multiplication O(1) and feed the vectorized numpy paths.
 _SCALAR_TABLE_MAX = 1 << 16
-# Full order x order numpy add/mul tables, used by brute-force enumeration.
+# Order x order add, mul and reduction tables (`numpy_tables`) up to this order.
 _NUMPY_TABLE_MAX = 512
 # `base_matrix_rank` keeps residues mod primes below this in int64, where
 # every product and sum fits; larger primes eliminate on Python ints.
@@ -239,8 +242,6 @@ class FieldTower:
             self._build_scalar_tables()
         self._np_tables = None
         self._base_np = None
-        self._digits_np = None
-        self._reduction_np = None
         # digit d of an encoding has weight p^d (int64 while every encoding
         # fits); set once the moduli have validated m
         self._digit_weights = np.array([p ** d for d in range(self._ndigits)],
@@ -460,6 +461,16 @@ class FieldTower:
     def digits(self, a: int):
         """Base-q digit vector (length m) of an element encoding."""
         return _int_digits(a, self.q, self.m)
+
+    def check_elements(self, vals, what: str = "entry") -> list:
+        """`vals` as a list of ints; `ValueError` on one that is not an int
+        encoding 0 .. q^m - 1, which `digits` would truncate (a plain loop)."""
+        out = []
+        for v in vals:
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < self.order):
+                raise ValueError(f"{what} {v!r} is not an element of F_{self.order}")
+            out.append(int(v))
+        return out
 
     def add(self, a: int, b: int) -> int:
         if self._p2:
@@ -682,7 +693,7 @@ class FieldTower:
 
     def expand(self, vec) -> np.ndarray:
         """m x n matrix over F_q whose column j holds the coordinates of vec[j]."""
-        cols = [self.digits(v) for v in vec]
+        cols = [self.digits(v) for v in self.check_elements(vec)]
         return np.array(cols, dtype=np.int64).T.reshape(self.m, len(cols))
 
     def rank_over_base(self, vec) -> int:
@@ -691,9 +702,10 @@ class FieldTower:
         For p = 2 an encoding already is its packed vector of m base-field
         digits, so the elements go to `_packed_rank` as they are; for odd p
         their digit lists go to `_eliminate`, which beats numpy on a few
-        short rows."""
+        short rows.  `ValueError` on an entry that is not an element."""
+        vec = self.check_elements(vec)
         if self._p2:
-            return self._packed_rank([int(v) for v in vec], self.m)
+            return self._packed_rank(vec, self.m)
         rows = [self.digits(v) for v in vec]
         return len(_eliminate(rows, self.m, self.base_inv, self.base_mul, self.base_sub)[0])
 
@@ -716,14 +728,18 @@ class FieldTower:
 
     def _base_matrix(self, mat) -> np.ndarray:
         """`mat` as an array of base-field encodings (int64, or Python ints
-        for primes past `_INT64_PRIME_BOUND`), checked to lie in 0 .. q - 1:
-        numpy would read a negative entry as an index from the end, and a
-        packed entry past q - 1 would spill into the next one."""
-        M = np.asarray(mat, dtype=np.int64 if self.p < _INT64_PRIME_BOUND else object)
-        if M.size and (M.min() < 0 or M.max() >= self.q):
-            bad = M[(M < 0) | (M >= self.q)].flat[0]
-            raise ValueError(f"matrix entry {bad!r} is not an element of F_{self.q}")
-        return M
+        for primes past `_INT64_PRIME_BOUND`), checked to hold integers before a
+        cast truncates one, and to lie in 0 .. q - 1: numpy would read a negative
+        entry as an index from the end, and a packed one past q - 1 would spill."""
+        M = np.asarray(mat)
+        if M.size:
+            if M.dtype.kind not in "biu" and not (
+                    M.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in M.flat)):
+                raise ValueError(f"matrix entries must be integers; got dtype {M.dtype}")
+            if M.min() < 0 or M.max() >= self.q:
+                bad = M[(M < 0) | (M >= self.q)].flat[0]
+                raise ValueError(f"matrix entry {bad!r} is not an element of F_{self.q}")
+        return M.astype(np.int64 if self.p < _INT64_PRIME_BOUND else object, copy=False)
 
     def _block_ranks(self, M, slices):
         """Ranks of the column blocks of a checked matrix, each the rank of
@@ -862,46 +878,17 @@ class FieldTower:
             self._mul_tensor = S
         return self._mul_tensor
 
-    def _digit_table(self):
-        """m x order array whose row i holds base-q digit i of every element."""
-        if self._digits_np is None:
-            powers = self.q ** np.arange(self.m, dtype=np.int64)[:, None]
-            self._digits_np = np.arange(self.order, dtype=np.int64) // powers % self.q
-        return self._digits_np
-
-    def _reduction_table(self):
-        """order x order table RED[a, x] = x - (x_p / a_p) * a, where p is the
-        first nonzero base-q digit of a, and RED[0, x] = x.  Reducing x by a
-        clears digit p of x and leaves x modulo F_q * a unchanged."""
-        if self.order > _NUMPY_TABLE_MAX:
-            raise ValueError(f"field order {self.order} beyond numpy-table guard")
-        if self._reduction_np is None:
-            add, mul, neg, inv = self._base_numpy_tables()
-            digits = self._digit_table()
-            elems = np.arange(self.order)
-            piv = (digits != 0).argmax(axis=0)  # 0 for a = 0
-            # shift[a, v] = -(v / a_p) * a for v in F_q, digit by digit; row
-            # a = 0 is zero since inv[0] = 0
-            coef = neg[mul[np.arange(self.q)[None, :], inv[digits[piv, elems]][:, None]]]
-            shift = np.zeros((self.order, self.q), dtype=np.int64)
-            for i in range(self.m - 1, -1, -1):
-                shift = shift * self.q + mul[coef, digits[i][:, None]]
-            # not numpy_tables(): perfbench's traced runs count its calls and
-            # require the same count in every pass, this lazy build included
-            add_big = _digitwise_add_table(self.p, self._ndigits)
-            self._reduction_np = add_big[elems[None, :], shift[elems[:, None], digits[piv]]]
-        return self._reduction_np
-
     # ------------------------------------------------------------------
     # conjugacy structure
 
+    def norm(self, a: int) -> int:
+        """a^((q^m - 1)/(q - 1)), the norm of a down to F_q (0 for a = 0)."""
+        return self.pow(a, (self.order - 1) // (self.q - 1))
+
     def conjugate_to(self, a: int, b: int) -> bool:
-        """True iff b lies in the sigma-conjugacy class of a."""
-        if a == 0 or b == 0:
-            return a == b
-        # b = sigma(c) a c^-1 = c^(q-1) a for some c != 0
-        x = self.mul(b, self.inv(a))
-        return self.pow(x, (self.order - 1) // (self.q - 1)) == 1
+        """True iff b lies in the sigma-conjugacy class of a: b = sigma(c) a c^-1
+        = c^(q-1) a for a c != 0 iff b / a is in the kernel of the norm."""
+        return self.norm(a) == self.norm(b)
 
     def conjugacy_classes(self):
         """Partition of the field: [{0}, C(gamma^0), ..., C(gamma^(q-2))]."""
@@ -949,17 +936,29 @@ class FieldTower:
                    base_modulus=spec["base_modulus"], top_modulus=spec["top_modulus"])
 
     def numpy_tables(self):
-        """(add_table, mul_table) as order x order arrays; small fields only."""
-        if self.order > _NUMPY_TABLE_MAX:
-            raise ValueError(f"field order {self.order} beyond numpy-table guard")
+        """(add, mul, red) as order x order arrays, built once per field; the one
+        check of their guard q^m <= `_NUMPY_TABLE_MAX`.  RED[a, x] = x - (x_p / a_p) a
+        for p the first nonzero base-q digit of a, and RED[0, x] = x: reducing x
+        by a clears digit p of x and keeps x modulo F_q a."""
+        n, q = self.order, self.q
+        if n > _NUMPY_TABLE_MAX:
+            raise ValueError(f"field order q^m = {n} is past the numpy-table guard "
+                             f"q^m <= {_NUMPY_TABLE_MAX}")
         if self._np_tables is None:
-            n = self.order
-            exp = np.array(self._exp, dtype=np.int64)
-            log = np.array(self._log, dtype=np.int64)
+            exp, log = np.array(self._exp), np.array(self._log)
             mul = np.zeros((n, n), dtype=np.int64)
-            nz = np.arange(1, n)
-            mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (n - 1)]
-            self._np_tables = (_digitwise_add_table(self.p, self._ndigits), mul)
+            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (n - 1)]
+            add = _digitwise_add_table(self.p, self._ndigits)
+            _, bmul, bneg, binv = self._base_numpy_tables()
+            elems = np.arange(n)
+            digits = elems // q ** np.arange(self.m)[:, None] % q  # row i: digit i
+            piv = (digits != 0).argmax(axis=0)  # 0 for a = 0
+            # shift[a, v] = -(v / a_p) a for v in F_q, digit by digit (row 0: binv[0] = 0)
+            coef = bneg[bmul[np.arange(q), binv[digits[piv, elems]][:, None]]]
+            shift = np.zeros((n, q), dtype=np.int64)
+            for i in range(self.m - 1, -1, -1):
+                shift = shift * q + bmul[coef, digits[i][:, None]]
+            self._np_tables = (add, mul, add[elems, shift[elems[:, None], digits[piv]]])
         return self._np_tables
 
     def __repr__(self):

@@ -344,15 +344,12 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
 
 
 def transmit(X, ch: ChannelRealization) -> np.ndarray:
-    """Network equation Y = A X + E over F_q."""
+    """Network equation Y = A X + E over F_q, as the one product [A | I] [X; E]."""
     X = np.asarray(X, dtype=np.int64)
-    if ch.A.shape[1] != X.shape[0] or ch.E.shape[1] != X.shape[1]:
+    if ch.A.shape[1] != X.shape[0] or ch.E.shape != (len(ch.A), X.shape[1]):
         raise ValueError("shape mismatch between packets and channel")
-    tower = ch.tower
-    AX = tower.base_mat_mul(ch.A, X)
-    if tower.e == 1:
-        return (AX + ch.E) % tower.q
-    return tower._base_numpy_tables()[0][AX, ch.E]
+    AI = np.hstack([ch.A, np.eye(len(ch.A), dtype=np.int64)])
+    return ch.tower.base_mat_mul(AI, np.vstack([X, ch.E]))
 
 
 def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,
@@ -432,10 +429,8 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
     one `sumrank.block_ranks` call each, and the first block of the wanted
     rank is kept.  The stream is rewound to where drawing candidates one at a
     time would have stopped, so the result and the state left in `rng` are
-    those of that scalar loop."""
-    if tower.order > gf._NUMPY_TABLE_MAX:
-        raise ValueError(f"error sampling needs q^m <= {gf._NUMPY_TABLE_MAX} "
-                         f"(gf._NUMPY_TABLE_MAX); got q^m = {tower.order}")
+    those of that scalar loop.  Its guard is `numpy_tables`, fetched first."""
+    red = tower.numpy_tables()[2]
     capacities = [min(nl, tower.m) for nl in part.parts]
     if weight > sum(capacities):
         raise ValueError("weight exceeds the partition capacity")
@@ -454,7 +449,7 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
         while True:
             state = rng.getstate()
             blocks = _randbelow_array(rng, tower.order, batch * s).reshape(batch, s)
-            hits = np.flatnonzero(sumrank.block_ranks(tower, blocks.T) == target[l])
+            hits = np.flatnonzero(sumrank.block_ranks(red, blocks.T) == target[l])
             if hits.size:
                 j = int(hits[0])
                 if j < batch - 1:

@@ -9,11 +9,11 @@ Brute force runs on order x order numpy tables of F_{q^m} behind one guard,
 `enumerable`: q^m <= 512 and (q^m)^k <= 2^22 messages.  The minimum distance
 enumerates one message per line of F_{q^m}^k, the one whose highest nonzero
 coordinate is 1, because nonzero scalars keep the weight; decoding
-enumerates all (q^m)^k messages.  Codewords are built coordinate-major from
-each generator row's table of multiples.  A block's rank counts the elements
-left nonzero after each is reduced by the earlier, already reduced ones,
-one lookup per pair in the field's reduction table
-(`FieldTower._reduction_table`), for a whole batch of blocks at once.
+enumerates all (q^m)^k messages, on the tables `FieldTower.numpy_tables`
+fetched once per call.  Codewords are built coordinate-major from each
+generator row's table of multiples.  A block's rank counts the elements left
+nonzero after each is reduced by the earlier, already reduced ones, one
+lookup per pair in the reduction table, for a whole batch of blocks at once.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class OrderedPartition:
 
 def sum_rank_weight(tower: FieldTower, x, part: OrderedPartition) -> int:
     """Sum of per-block F_q-ranks of a vector over F_{q^m}."""
-    x = list(x)
+    x = tower.check_elements(x, "vector entry")
     if len(x) != part.n:
         raise ValueError(f"vector length {len(x)} does not match partition n={part.n}")
     return sum(tower.rank_over_base(x[a:b]) for a, b in part.slices())
@@ -124,10 +124,8 @@ def _check_guard(tower, G, y=()):
         raise ValueError(
             f"brute-force enumeration needs q^m <= {gf._NUMPY_TABLE_MAX} and "
             f"(q^m)^k <= {_BRUTE_FORCE_MAX}; got q^m = {tower.order}, k = {k}")
-    for what, entries in (("generator", (v for row in G for v in row)), ("received word", y)):
-        for v in entries:
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < tower.order):
-                raise ValueError(f"{what} entry {v!r} is not an element of F_{tower.order}")
+    tower.check_elements((v for row in G for v in row), "generator entry")
+    tower.check_elements(y, "received word entry")
 
 
 def _codeword_chunks(tower, add, mul, G, start, stop=None, offset=None):
@@ -170,30 +168,30 @@ def min_distance_bruteforce(tower: FieldTower, G, part: OrderedPartition) -> int
         raise ValueError("generator width does not match partition")
     if gf.mat_rank(tower, G) < k:
         return 0  # some nonzero message encodes to the zero word
-    add, mul = tower.numpy_tables()
+    add, mul, red = tower.numpy_tables()
     best = part.n
     for start, stop in _projective_ranges(tower.order, k):
         for _, cw in _codeword_chunks(tower, add, mul, G, start, stop):
-            best = min(best, int(_batch_weights(tower, cw, part).min()))
+            best = min(best, int(_batch_weights(red, cw, part).min()))
             if best <= 1:
                 return best
     return best
 
 
-def block_ranks(tower, block):
+def block_ranks(red, block):
     """Vector of F_q-ranks of the base-field expansions of B blocks of s
     elements, given as an s x B array (element t of every block in row t).
 
-    Each element is reduced by the earlier ones of its block, already
-    reduced, through `tower._reduction_table()`: reducing by a nonzero a
-    clears a's pivot, its first nonzero base-q digit.  A reduced element is
-    zero on the pivots of all reduced elements before it, so the nonzero
-    ones are independent over F_q and span the block, and an element
-    reduces to zero exactly when it lies in the span of those before it.
-    The rank is the number of nonzero reduced elements.
+    Each element is reduced by the earlier ones of its block, already reduced,
+    through `red`, the third table of `FieldTower.numpy_tables`: reducing by a
+    nonzero a clears a's pivot, its first nonzero base-q digit.  A reduced
+    element is zero on the pivots of all reduced elements before it, so the
+    nonzero ones are independent over F_q and span the block, and an element
+    reduces to zero exactly when it lies in the span of those before it.  The
+    rank is the number of nonzero reduced elements.
     """
-    red = tower._reduction_table().ravel()
-    order = tower.order
+    order = len(red)
+    red = red.ravel()
     ranks = np.zeros(block.shape[1], dtype=np.int64)
     rows = []  # reduced elements times order: their rows of the flat table
     for x in block:
@@ -204,10 +202,10 @@ def block_ranks(tower, block):
     return ranks
 
 
-def _batch_weights(tower, cw, part):
+def _batch_weights(red, cw, part):
     total = np.zeros(cw.shape[1], dtype=np.int64)
     for a, b in part.slices():
-        total += block_ranks(tower, cw[a:b])
+        total += block_ranks(red, cw[a:b])
     return total
 
 
@@ -227,12 +225,12 @@ def bruteforce_decode(tower: FieldTower, G, part: OrderedPartition, y,
         code_distance = min_distance_bruteforce(tower, G, part)
     radius = (code_distance - 1) // 2
 
-    add, mul = tower.numpy_tables()
+    add, mul, red = tower.numpy_tables()
     # the codewords start at -y, so they come out as c - y
     best, best_idx, tie = part.n + 1, 0, False
     for idx, cw in _codeword_chunks(tower, add, mul, G, 0,
                                     offset=[tower.neg(v) for v in y]):
-        w = _batch_weights(tower, cw, part)
+        w = _batch_weights(red, cw, part)
         m = int(w.min())
         if m < best:
             hits = idx[w == m]

@@ -2,11 +2,20 @@
 and multiplication matrices of skew polynomials as an oracle of skew_mul."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lrsnet.constraints import ConditionViolation, SupportConstraint, derive_zero_sets
+from lrsnet.constraints import (
+    ConditionViolation,
+    SupportConstraint,
+    check_condition,
+    derive_zero_sets,
+    suggest_field_params,
+)
 from lrsnet.construct import (
     SynthesisError,
     from_json,
@@ -16,10 +25,10 @@ from lrsnet.construct import (
     to_json,
     verify_support,
 )
-from lrsnet.gf import make_field, mat_det, mat_mul, mat_rank, vec_mat
+from lrsnet.gf import make_field, mat_det, mat_mul, mat_rank, prime_power, vec_mat
 from lrsnet.lrs import generator_matrix, locators, make_code
 from lrsnet.skewpoly import SkewPoly, minimal_polynomial, skew_mul
-from lrsnet.sumrank import OrderedPartition, min_distance_bruteforce
+from lrsnet.sumrank import OrderedPartition, enumerable, min_distance_bruteforce
 
 F9 = make_field(3, 1, 2)
 F27 = make_field(3, 1, 3)
@@ -330,3 +339,55 @@ def test_field_gate_uses_actual_base_size():
         synthesize(make_field(2, 2, 2), OrderedPartition((2, 2)), 3, sc)
     cc = synthesize(make_field(2, 2, 3), OrderedPartition((2, 2)), 3, sc, seed=0)
     assert cc.cover_dim == 3
+
+
+# The paper's two extremes (Yildiz & Hassibi, IEEE T-IT 2019 and 2020): with
+# every n_l = 1 the sum-rank metric is the Hamming metric and the codes are
+# Reed-Solomon codes, with ell = 1 it is the rank metric and they are
+# Gabidulin codes.  For each drawn zero pattern the field comes from
+# suggest_field_params at the pattern's cover dimension, as a design sizes
+# it; a pattern meeting the condition must give an MSRD code, a violating
+# one a subcode of distance n - cover_dim + 1, both by brute force.
+
+
+def _check_special_case(part, data, max_cover):
+    n = part.n
+    max_cover = min(max_cover, n)  # a cover dimension past n is infeasible
+    k = data.draw(st.integers(1, max_cover), label="k")
+    sc = SupportConstraint(n, k, tuple(
+        frozenset(data.draw(st.sets(st.integers(1, n), max_size=k), label=f"Z_{i + 1}"))
+        for i in range(k)))
+    report = check_condition(sc)
+    assume(report.cover_dim <= max_cover)  # inside the brute-force guard
+    ktil = report.cover_dim
+    params = suggest_field_params(ktil, part.ell, part.parts)
+    q = next(c for c in itertools.count(part.ell + 1) if prime_power(c))
+    log_q = next(c for c in itertools.count() if q ** c >= ktil)
+    assert (params.q, params.m) == (q, max(ktil - 1 + log_q, max(part.parts)))
+    tower = make_field(*prime_power(params.q), params.m)
+    assert enumerable(tower, ktil)
+    if report.holds:
+        cc = synthesize(tower, part, k, sc, seed=0)
+    else:
+        cc = subcode_generator(tower, part, k, sc, seed=0)
+    assert cc.cover_dim == ktil
+    assert verify_support(cc.matrix, cc.sc) == []
+    assert all(z <= cz for z, cz in zip(sc.zero_sets, cc.sc.zero_sets))
+    d = min_distance_bruteforce(tower, [list(r) for r in cc.matrix], part)
+    assert d == n - ktil + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_hamming_extreme_reed_solomon(n, data):
+    # all n_l = 1: q = 4 or 5, the smallest prime power >= n + 1; a cover
+    # dimension up to 3 keeps the field at F_64 or F_125
+    _check_special_case(OrderedPartition((1,) * n), data, max_cover=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), data=st.data())
+def test_rank_extreme_gabidulin(n, data):
+    # ell = 1: q = 2 and m >= n, over F_8, F_16 or F_32 for a cover
+    # dimension up to 4
+    _check_special_case(OrderedPartition((n,)), data, max_cover=4)

@@ -22,7 +22,7 @@ from lrsnet.gf import (
     prime_power,
     vec_mat,
 )
-from lrsnet.sumrank import OrderedPartition, sum_rank_weight_matrix
+from lrsnet.sumrank import OrderedPartition, sum_rank_weight, sum_rank_weight_matrix
 
 
 # Independent micro-oracle for F_9 used to freeze expected values: residues
@@ -295,7 +295,7 @@ def test_matrix_helpers():
 
 
 def test_numpy_tables_consistency():
-    add, mul = F9.numpy_tables()
+    add, mul, _ = F9.numpy_tables()
     for a in range(9):
         for b in range(9):
             assert add[a, b] == F9.add(a, b)
@@ -315,14 +315,6 @@ def test_base_numpy_tables_match_scalar_ops(pem):
         for b in range(q):
             assert add[a, b] == tower.base_add(a, b)
             assert mul[a, b] == tower.base_mul(a, b)
-
-
-def test_digit_table_matches_digits():
-    for tower in (make_field(3, 1, 3), make_field(2, 2, 2), make_field(3, 2, 1)):
-        table = tower._digit_table()
-        assert table.shape == (tower.m, tower.order)
-        for a in range(tower.order):
-            assert list(table[:, a]) == tower.digits(a)
 
 
 def test_class_enumeration_guard():
@@ -633,6 +625,42 @@ def test_base_rank_rejects_out_of_field_entries(tower, mat):
         tower.base_matrix_rank(np.array(mat).T)
     with pytest.raises(ValueError, match="not an element"):
         sum_rank_weight_matrix(tower, mat, OrderedPartition((1,) * len(mat[0])))
+
+
+@pytest.mark.parametrize("tower,mat", [
+    (make_field(5), [[1.5, 2], [1, 2]]),    # an int64 cast read 1.5 as 1: rank 1
+    (make_field(2, 2), [[0.5, 0], [0, 0]]),  # and 0.5 as 0: rank 0
+    (make_field(3), [[1.0, 2.0]]),           # a float dtype is refused whole
+    (make_field(3), [["1", "2"]]),
+])
+def test_base_rank_rejects_non_integer_entries(tower, mat):
+    with pytest.raises(ValueError, match="must be integers"):
+        tower.base_matrix_rank(mat)
+    with pytest.raises(ValueError, match="must be integers"):
+        sum_rank_weight_matrix(tower, mat, OrderedPartition((1,) * len(mat[0])))
+
+
+def test_base_rank_takes_object_arrays_of_ints():
+    F5 = make_field(5)
+    mat = np.array([[1, 2], [2, np.int64(4)]], dtype=object)
+    assert F5.base_matrix_rank(mat) == 1
+    with pytest.raises(ValueError, match="must be integers"):
+        F5.base_matrix_rank(np.array([[1, 2.5]], dtype=object))
+
+
+@pytest.mark.parametrize("pem", [(3, 1, 2), (2, 2, 2), (2, 1, 3)], ids=["F9", "F16", "F8"])
+@pytest.mark.parametrize("bad", ["order", "negative", "float"])
+def test_top_field_inputs_are_checked(pem, bad):
+    # digits() truncated 9 in F_9 to (0, 0), and a packed p = 2 rank read a
+    # negative or too-large int as extra digits
+    tower = make_field(*pem)
+    v = {"order": tower.order, "negative": -1, "float": 1.0}[bad]
+    for call in (tower.rank_over_base, tower.expand, tower.linearly_independent_over_base):
+        with pytest.raises(ValueError, match="not an element"):
+            call([1, v])
+    with pytest.raises(ValueError, match="vector entry"):
+        sum_rank_weight(tower, [v, 0], OrderedPartition((1, 1)))
+    assert tower.check_elements(iter([np.int64(1), tower.order - 1])) == [1, tower.order - 1]
 
 
 def test_base_matrix_rank_empty_and_fixed():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,6 +444,9 @@ def test_transmit_identity_and_linearity():
     lhs = transmit((X + X2) % 3, ch2)
     rhs = (transmit(X, ch2) + transmit(X2, ch2) - ch2.E) % 3
     assert np.array_equal(lhs, rhs)
+    # Y = [A | I] [X; E] needs one row of E per row of A
+    with pytest.raises(ValueError, match="shape mismatch"):
+        transmit(X, replace(ch, E=np.zeros((3, 6), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("q", [4, 9])

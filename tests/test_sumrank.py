@@ -346,7 +346,7 @@ def _blocks(draw, tower):
 @given(data=st.data())
 def test_block_ranks_match_elimination(tower, data):
     batch = data.draw(_blocks(tower))
-    ranks = sumrank.block_ranks(tower, np.array(batch, dtype=np.int64).T)
+    ranks = sumrank.block_ranks(tower.numpy_tables()[2], np.array(batch, dtype=np.int64).T)
     assert list(ranks) == [tower.rank_over_base(block) for block in batch]
 
 
@@ -354,8 +354,7 @@ def test_block_ranks_match_elimination(tower, data):
 def test_reduction_table_properties(tower):
     """Every entry of RED[a, x] = x - (x_p / a_p) * a, checked against the
     add/mul tables and the scalar digit expansion."""
-    red = tower._reduction_table()
-    add, mul = tower.numpy_tables()
+    add, mul, red = tower.numpy_tables()
     elems = np.arange(tower.order)
     assert red.shape == (tower.order, tower.order)
     assert (red[0] == elems).all()
@@ -373,8 +372,9 @@ def test_reduction_table_properties(tower):
 
 
 def test_reduction_table_guarded():
+    # numpy_tables builds the reduction table and holds the one guard
     with pytest.raises(ValueError, match="numpy-table guard"):
-        make_field(2, 1, 10)._reduction_table()
+        make_field(2, 1, 10).numpy_tables()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
