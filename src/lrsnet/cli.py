@@ -6,6 +6,13 @@ condition check fails or synthesis gives up, 2 on usage or parse errors; a
 reader that closes the output early (``| head``) ends the run quietly with 0.
 Every run is reproducible from its arguments and --seed; the JSON reports of
 construct and simulate embed the seed (tables takes no seed).
+
+Each command imports the layers it uses when it runs, so `check`, which
+decides the condition by matching in pure Python, loads no numpy.  Before any
+command runs, `main` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where the user left them unset and numpy is not loaded
+yet: the commands multiply many small matrices, where a second BLAS thread
+only costs.
 """
 
 from __future__ import annotations
@@ -18,22 +25,9 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from . import construct, netsim
-from .constraints import (
-    ConditionViolation,
-    check_condition,
-    parse_pattern,
-    suggest_field_params,
-)
-from .gf import make_field, prime_power
-from .netsim import (
-    DesignResult,
-    NetworkInstance,
-    build_distributed_code,
-    even_partition,
-    weight_statistics,
-)
-from .sumrank import OrderedPartition, enumerable, min_distance_bruteforce
+from .constraints import ConditionViolation
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _seed(text: str) -> int:
@@ -70,6 +64,8 @@ def _read(path: str) -> str:
 
 
 def cmd_check(args) -> int:
+    from .constraints import check_condition, parse_pattern
+
     sc = parse_pattern(_read(args.pattern), args.n)
     report = check_condition(sc)
     doc = {
@@ -85,6 +81,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import construct
+    from .constraints import check_condition, parse_pattern, suggest_field_params
+    from .gf import make_field, prime_power
+    from .netsim import even_partition
+    from .sumrank import OrderedPartition, enumerable, min_distance_bruteforce
+
     if (args.q is None) != (args.m is None):
         raise ValueError("--q and --m must be given together")
     sc = parse_pattern(_read(args.pattern), args.n)
@@ -131,6 +133,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .netsim import NetworkInstance, build_distributed_code
+
     if args.seed is not None and not args.build:
         raise ValueError("--seed only seeds the synthesis of --build")
     inst = NetworkInstance.from_json(_read(args.instance))
@@ -142,6 +146,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .netsim import NetworkInstance, build_distributed_code
+
     if args.lmax < 1:
         raise ValueError("--lmax must be at least 1")
     inst = NetworkInstance.from_json(_read(args.instance))
@@ -165,6 +171,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .netsim import DesignResult, end_to_end_trial, weight_statistics
+    from .sumrank import enumerable
+
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     res = DesignResult.from_json(_read(args.design))
@@ -187,7 +196,7 @@ def cmd_simulate(args) -> int:
             wt = max(0, (res.distance - 1 - inst.rho) // 2)
             decode_trials = min(args.trials, 50)
             good = sum(
-                netsim.end_to_end_trial(res.code, res.distance, wt, inst.rho, rng)
+                end_to_end_trial(res.code, res.distance, wt, inst.rho, rng)
                 for _ in range(decode_trials))
             doc["decode"] = {"trials": decode_trials, "successes": good,
                              "error_weight": wt, "erasures": inst.rho}
@@ -248,7 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread():
+    """Default each BLAS thread variable to 1 where the user left it unset.
+    BLAS reads them when numpy loads, so once numpy is in (an in-process
+    caller) this changes nothing."""
+    if "numpy" not in sys.modules:
+        for var in _BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
+
+
+def _failures() -> tuple:
+    """Exceptions that exit 1: a violated condition, and a synthesis that
+    gave up.  Only `construct` raises the latter, so it is caught only once a
+    command has loaded that module, and `check` never loads it."""
+    construct = sys.modules.get(f"{__package__}.construct")
+    return (ConditionViolation,) + ((construct.SynthesisError,) if construct else ())
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -258,7 +285,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left; the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ConditionViolation, construct.SynthesisError) as exc:
+    except _failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -15,6 +15,8 @@ largest has (k - 1) + |Z_i| - nu_i vertices, nu_i the size of a maximum
 matching, so the maximum over the W holding i is k + |Z_i| - nu_i: the
 condition holds iff every Z_i matches completely into the other rows, and
 the cover dimension is k plus the largest deficiency |Z_i| - nu_i.
+The graph is n masks of k bits, and `_support`, the one routine that builds
+it, refuses a pattern past `_SUPPORT_GRAPH_MAX_BITS` before allocating.
 
 Every subset meets the bound with equality exactly when k = 1 and Z_1 is
 empty, or Z_i = U - {c_i} for one k-set U and distinct c_i: singletons force
@@ -34,7 +36,12 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .gf import prime_power
+# Bits n k of the support graph `_support` builds (n masks of k bits).  The
+# toy access structure with r_4 = 2883 (n = 2903, k = 2889) is the largest
+# inside; `check_condition` decides it in 2.4 s on a 2-vCPU Xeon.  At
+# r_4 = 10^6 the graph would need ~10^12 bits, and building it exhausted
+# memory.
+_SUPPORT_GRAPH_MAX_BITS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,11 @@ class ConditionViolation(ValueError):
 
 
 def _support(sc: SupportConstraint) -> list:
-    """adj[c]: bitmask of the rows whose zero set misses 0-based column c."""
+    """adj[c]: bitmask of the rows whose zero set misses 0-based column c;
+    `ValueError` before any allocation past `_SUPPORT_GRAPH_MAX_BITS`."""
+    if sc.n * sc.k > _SUPPORT_GRAPH_MAX_BITS:
+        raise ValueError(f"the support graph of a {sc.k} x {sc.n} pattern has n k = "
+                         f"{sc.n * sc.k} bits, past the guard of 2^23")
     adj = [(1 << sc.k) - 1] * sc.n
     for r, z in enumerate(sc.zero_sets):
         for j in z:
@@ -291,6 +302,8 @@ def _ceil_log(q: int, k: int) -> int:
 
 
 def smallest_prime_power_at_least(x: int) -> int:
+    from .gf import prime_power  # here, not at the top: `check` loads no numpy
+
     c = max(2, x)
     while prime_power(c) is None:
         c += 1

@@ -838,12 +838,23 @@ class FieldTower:
         return rank
 
     def base_mat_mul(self, A, B) -> np.ndarray:
-        """Product of two F_q matrices; modular matmul for prime q, table
-        lookups per inner index otherwise."""
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        """Product of two F_q matrices of base-field encodings; `ValueError`
+        on an entry outside 0 .. q - 1, checked once per matrix, or on shapes
+        that do not chain."""
+        A, B = self._base_matrix(A), self._base_matrix(B)
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError(f"cannot multiply a {A.shape} matrix by a {B.shape} one")
+        return self._base_product(A, B)
+
+    def _base_product(self, A, B) -> np.ndarray:
+        """Product of two F_q matrices whose entries are known to be in
+        range: modular matmul for prime q, on Python ints where an int64 sum
+        of products could overflow, and table lookups per inner index
+        otherwise."""
         if self.e == 1:
-            return (A @ B) % self.p
+            if A.shape[1] * (self.p - 1) ** 2 < 1 << 63:
+                return (A @ B) % self.p
+            return ((A.astype(object) @ B.astype(object)) % self.p).astype(A.dtype)
         add_t, mul_t, _, _ = self._base_numpy_tables()
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for t in range(A.shape[1]):

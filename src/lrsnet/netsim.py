@@ -337,15 +337,16 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     if t_eff:
         U = _rand_matrix(rng, N, t_eff, q)
         V = _rand_matrix(rng, t_eff, M, q)
-        E = tower.base_mat_mul(U, V)
+        E = tower._base_product(U, V)  # the draws lie in 0 .. q - 1
     else:
         E = np.zeros((N, M), dtype=np.int64)
     return ChannelRealization(A=A, E=E, tower=tower, t=t, rho=rho, rank_A=rank_A)
 
 
 def transmit(X, ch: ChannelRealization) -> np.ndarray:
-    """Network equation Y = A X + E over F_q, as the one product [A | I] [X; E]."""
-    X = np.asarray(X, dtype=np.int64)
+    """Network equation Y = A X + E over F_q, as the one product [A | I] [X; E];
+    `ValueError` on a packet entry outside 0 .. q - 1."""
+    X = np.asarray(X)
     if ch.A.shape[1] != X.shape[0] or ch.E.shape != (len(ch.A), X.shape[1]):
         raise ValueError("shape mismatch between packets and channel")
     AI = np.hstack([ch.A, np.eye(len(ch.A), dtype=np.int64)])

@@ -134,6 +134,21 @@ def test_construct_subcode_rows(tmp_path, capsys):
     assert doc["distance"] == 2 and doc["distance_optimal"]
 
 
+def test_synthesis_giving_up_exits_1(monkeypatch, tmp_path, capsys):
+    from lrsnet import construct
+
+    def give_up(*args, **kwargs):
+        raise construct.SynthesisError(7, "singular transform")
+
+    monkeypatch.setattr(construct, "subcode_generator", give_up)
+    path = tmp_path / "micro.pattern"
+    path.write_text("2\n1\n")
+    rc = main(["construct", str(path), "--n", "4", "--parts", "2,2", "--q", "3", "--m", "2"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert "no admissible multipliers after 7 attempts" in captured.err
+
+
 def test_design_toy(toy_instance, capsys):
     rc = main(["design", toy_instance])
     doc = json.loads(capsys.readouterr().out)
@@ -216,6 +231,113 @@ def test_closed_output_pipe_exits_zero_quietly(extra, toy_instance):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# ----------------------------------------------------------------------
+# fresh interpreters: what each command loads, and the BLAS thread defaults
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh(args, cwd, **env):
+    """`python *args` in a new interpreter with lrsnet on its path, the BLAS
+    thread variables unset and `env` set on top."""
+    base = {k: v for k, v in _lrsnet_env().items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                           env={**base, **env}, timeout=60)
+
+
+def test_check_loads_no_numpy(tmp_path):
+    (tmp_path / "micro.pattern").write_text("2\n1\n")
+    proc = _fresh(["-X", "importtime", "-m", "lrsnet", "check", "micro.pattern", "--n", "4"],
+                  tmp_path)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["holds"]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "lrsnet.constraints" in loaded  # the log lists every module loaded
+    assert "numpy" not in loaded
+
+
+def test_package_exports_resolve_lazily(tmp_path):
+    code = "\n".join([
+        "import sys",
+        "import lrsnet",
+        "assert 'numpy' not in sys.modules, 'import lrsnet loaded numpy'",
+        "assert set(lrsnet.__all__) <= set(dir(lrsnet))",
+        "for name in lrsnet.__all__:",
+        "    exec(f'from lrsnet import {name} as value')",
+        "    assert value is getattr(lrsnet, name)",
+        "    if name != '__version__':",
+        "        assert getattr(sys.modules[value.__module__], name) is value, name",
+        "try:",
+        "    lrsnet.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)",
+    ])
+    proc = _fresh(["-c", code], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "module 'lrsnet' has no attribute 'no_such_name'\n"
+
+
+def test_package_hands_out_the_current_binding(monkeypatch):
+    # nothing is cached in the package: a swapped function is the one it
+    # gives, and the original is back once the swap is undone
+    from lrsnet import constraints
+
+    original = constraints.check_condition
+    monkeypatch.setattr(constraints, "check_condition", lambda sc: None)
+    assert lrsnet.check_condition is constraints.check_condition is not original
+    monkeypatch.undo()
+    assert lrsnet.check_condition is original
+
+
+def test_readme_commands_in_fresh_interpreters(tmp_path):
+    (tmp_path / "micro.pattern").write_text("2\n1\n")
+    (tmp_path / "bad.pattern").write_text("1\n1\n")
+    (tmp_path / "toy.json").write_text(TOY_JSON)
+    calls = [
+        (["check", "micro.pattern", "--n", "4"], 0),
+        (["check", "bad.pattern", "--n", "2"], 1),
+        (["check", "micro.pattern"], 2),
+        (["construct", "micro.pattern", "--n", "4", "--parts", "2,2", "--q", "3", "--m", "2",
+          "--out", "code.json"], 0),
+        (["construct", "bad.pattern", "--n", "2"], 1),
+        (["design", "toy.json", "--build", "--out", "design.json"], 0),
+        (["design", "toy.json", "--seed", "1"], 2),
+        (["tables", "toy.json", "--lmax", "4"], 0),
+        (["simulate", "design.json", "--trials", "500", "--seed", "1"], 0),
+        (["simulate", "toy.json"], 2),
+    ]
+    for argv, code in calls:
+        proc = _fresh(["-m", "lrsnet", *argv], tmp_path)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"MKL_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas-set", "mkl-set"])
+def test_cli_defaults_blas_threads_to_one(user, tmp_path):
+    (tmp_path / "micro.pattern").write_text("2\n1\n")
+    show = "import os; print(' '.join(os.environ.get(v, '-') for v in %r))" % (BLAS_THREAD_VARS,)
+    run_main = "from lrsnet.cli import main; main(['check', 'micro.pattern', '--n', '4'])"
+    proc = _fresh(["-c", f"{run_main}\n{show}"], tmp_path, **user)
+    want = [user.get(v, "1") for v in BLAS_THREAD_VARS]
+    assert proc.stdout.split("\n")[-2].split() == want
+    # an in-process caller that loaded numpy first keeps its environment
+    proc = _fresh(["-c", f"import numpy\n{run_main}\n{show}"], tmp_path, **user)
+    assert proc.stdout.split("\n")[-2].split() == [user.get(v, "-") for v in BLAS_THREAD_VARS]
+
+
+def test_design_past_the_support_graph_guard_exits_2(tmp_path, capsys):
+    # the ILP finishes, but the 10^6 x 10^6 support graph would exhaust memory
+    path = tmp_path / "big.json"
+    path.write_text(TOY_JSON.replace("[1, 3, 2, 3]", "[1, 3, 2, 1000000]"))
+    start = time.perf_counter()
+    rc = main(["design", str(path)])
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert "past the guard of 2^23" in captured.err
 
 
 # Pinned `design --build` outputs: the toy code over F_{4^10} (ell 3) and

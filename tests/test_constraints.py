@@ -118,6 +118,24 @@ def test_cover_dimension_linear_in_columns():
     assert time.perf_counter() - start < 3.0
 
 
+def test_support_graph_guard():
+    # n k = 2^23 bits is the largest graph built; one row more is refused
+    # before the graph is allocated, by every routine that builds it
+    assert constraints._SUPPORT_GRAPH_MAX_BITS == 1 << 23
+    at = SupportConstraint(1 << 12, 1 << 11, (frozenset(),) * (1 << 11))
+    assert check_condition(at) == ConditionReport(True, None, False, 1 << 11)
+    past = SupportConstraint(1 << 12, (1 << 11) + 1, (frozenset(),) * ((1 << 11) + 1))
+    for call in (check_condition, cover_dimension, complete_zero_sets, constraints._support):
+        with pytest.raises(ValueError, match="past the guard of 2\\^23"):
+            call(past)
+    # the toy access structure with r_4 = 10^6 needs ~10^12 bits
+    huge = derive_zero_sets(TOY_ACCESS, (1, 3, 2, 10**6), (0, 0, 15, 10**6 + 5))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the guard"):
+        cover_dimension(huge)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_completion_greedy_trace():
     sc = SupportConstraint(2, 2, (frozenset(), frozenset()))
     done = complete_zero_sets(sc)

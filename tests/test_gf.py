@@ -648,6 +648,30 @@ def test_base_rank_takes_object_arrays_of_ints():
         F5.base_matrix_rank(np.array([[1, 2.5]], dtype=object))
 
 
+@pytest.mark.parametrize("tower,A,B,match", [
+    (make_field(2, 2), [[1]], [[-1]], "not an element"),   # a table index read -1 as 3
+    (make_field(2, 2), [[7]], [[1]], "not an element"),    # past the F_4 tables
+    (make_field(2, 2), [[1]], [[1.5]], "must be integers"),  # an int64 cast read 1.5 as 1
+    (make_field(3), [[5]], [[1]], "not an element"),       # mod 3 read 5 as 2
+    (make_field(3), [[1, 2]], [[1, 2]], "cannot multiply"),
+])
+def test_base_mat_mul_rejects_bad_inputs(tower, A, B, match):
+    with pytest.raises(ValueError, match=match):
+        tower.base_mat_mul(A, B)
+    with pytest.raises(ValueError, match=match):
+        tower.base_mat_mul(np.array(B).T, np.array(A).T)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 32 - 5])
+def test_base_mat_mul_exact_past_int64_products(p):
+    # four products of (p - 1)^2 overflow an int64 sum below p = 2^31
+    F = make_field(p)
+    A = [[p - 1, p - 1, p - 1, p - 2]]
+    B = [[p - 1], [p - 1], [p - 1], [p - 3]]
+    want = sum(a * b for a, b in zip(A[0], (r[0] for r in B))) % p
+    assert F.base_mat_mul(A, B).tolist() == [[want]]
+
+
 @pytest.mark.parametrize("pem", [(3, 1, 2), (2, 2, 2), (2, 1, 3)], ids=["F9", "F16", "F8"])
 @pytest.mark.parametrize("bad", ["order", "negative", "float"])
 def test_top_field_inputs_are_checked(pem, bad):

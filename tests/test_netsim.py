@@ -449,6 +449,20 @@ def test_transmit_identity_and_linearity():
         transmit(X, replace(ch, E=np.zeros((3, 6), dtype=np.int64)))
 
 
+@pytest.mark.parametrize("q,entry,match", [
+    (4, 7, "not an element"),        # ended in a bare IndexError on the F_4 tables
+    (4, -1, "not an element"),       # read as 3
+    (3, 5, "not an element"),        # reduced to 2
+    (3, 1.5, "must be integers"),    # truncated to 1 before any check
+])
+def test_transmit_rejects_packets_outside_the_field(q, entry, match):
+    ch = sample_channel(4, 4, 6, 1, 0, q, seed=9)
+    X = np.zeros((4, 6), dtype=object)
+    X[2, 3] = entry
+    with pytest.raises(ValueError, match=match):
+        transmit(X.tolist(), ch)
+
+
 @pytest.mark.parametrize("q", [4, 9])
 def test_transmit_over_extension_matches_entrywise_oracle(q):
     # q = 4 = 2^2 and q = 9 = 3^2: F_q addition is not addition mod q
