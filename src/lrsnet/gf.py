@@ -27,11 +27,10 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 - product, p = 2: one carry-less pass over the integer encoding with an
   e-bit digit stride, on the multiples x^t b, reduced through the q-entry
   table of c f (oracle: ``_qpoly_mulmod``);
-- product, odd prime q: Kronecker substitution, one big-int product of
-  the digits in w-bit slots, folded by the rows y^(m+t) mod f (oracle:
-  ``_qpoly_mulmod``);
-- product, odd p with e >= 2: ``_qpoly_mulmod`` itself, the schoolbook
-  product and reduction in F_q[y] that the modulus search also runs on;
+- product, odd p: Kronecker substitution, one big-int product of the
+  base-p digits in w-bit slots, digit r of y-digit i in slot i (2e - 1) + r
+  so that the x-degrees of each y^i stay apart; every slot outside the
+  basis is folded by its row x^r y^i mod (g, f) (oracle: ``_qpoly_mulmod``);
 - Frobenius sigma^i: the F_q-linear map a -> sum_j T_i[j][a_j], with
   T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
 - inverse: extended Euclid over F_q[y] on ``_qpoly_divmod`` (oracle:
@@ -59,9 +58,12 @@ oracle of both and the kernel of the F_{q^m} matrices (``mat_rank``,
 order add, mul and reduction tables of brute force once per field, and is
 the one check of their guard.
 
+``_qpoly_mulmod``, the schoolbook product in F_q[y], serves the modulus search
+(``_qpoly_powmod``) and the base-field tables, and is both packed products' oracle.
+
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
-paper criterion 8 and is the oracle of ``FieldTower.conjugate_to``, which
-``lrs.validate`` runs as one norm per representative; ``FieldTower.expand``
+paper criterion 8 and is the oracle of the norm comparison that
+``lrs.validate`` makes, one norm per representative; ``FieldTower.expand``
 and ``mat_inv`` serve the network decoding path that ``netsim`` keeps.
 """
 
@@ -498,10 +500,7 @@ class FieldTower:
             return a
         if self._p2:
             return self._binary_mul(a, b)
-        if self.e == 1:
-            return self._kronecker_mul(a, b)
-        return _digits_int(self._qpoly_mulmod(self.digits(a), self.digits(b), self.top_modulus),
-                           self.q)
+        return self._kronecker_mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -579,8 +578,8 @@ class FieldTower:
     # Packed products.  For p = 2 an encoding is the F_2 coefficient vector of
     # its e*m digits, so addition is XOR and one carry-less pass over a's bits
     # forms a * b.  For odd p each base-p digit sits in its own w-bit slot of
-    # an integer, wide enough that sums and (for e = 1) one big-int product
-    # never carry between slots; the slots are taken mod p once at the end.
+    # an integer, wide enough that sums and one big-int product never carry
+    # between slots; the slots are taken mod p once at the end.
 
     def _init_binary_packing(self):
         e = self.e
@@ -620,30 +619,37 @@ class FieldTower:
         return acc
 
     def _init_slot_packing(self):
-        p, m = self.p, self.m
-        width = (2 * m * (p - 1) ** 2).bit_length()
-        self._slot_width = width
+        p, e, m, q = self.p, self.e, self.m, self.q
+        stride = 2 * e - 1
+        # a product's x^r y^i (r <= 2e - 2) is slot i (2e - 1) + r; folding each slot
+        # off the basis (i >= m or r >= e) leaves a basis slot < (e m + #folded) (p - 1)^2
+        folded = [j for j in range(stride * (2 * m - 1)) if j >= stride * m or j % stride >= e]
+        width = ((e * m + len(folded)) * (p - 1) ** 2).bit_length()
         self._slot_mask = (1 << width) - 1
-        self._slot_shifts = range(width * (self._ndigits - 1), -1, -width)
-        self._half_mask = (1 << (width * m)) - 1
-        # slot forms of all k-digit chunks, p^k <= _SPREAD_TABLE_MAX; one
-        # digit is its own slot form
-        k = 1
-        while p ** (k + 1) <= _SPREAD_TABLE_MAX:
+        self._low_mask = (1 << width * stride * m) - 1  # the slots of y^0 .. y^(m-1)
+        k = 1  # y-digits per `_spread` chunk, q^k <= _SPREAD_TABLE_MAX
+        while q ** (k + 1) <= _SPREAD_TABLE_MAX:
             k += 1
+        # bit offset of base-p digit u = e i + r, read high digit first by `_gather`
+        slot = [width * (u // e * stride + u % e) for u in range(e * max(m, k))]
+        self._slot_shifts = slot[e * m - 1::-1]
+        # slot forms of all chunks of k y-digits; one base-p digit is its own slot form
         slots = range(p)
-        for j in range(1, k):
-            slots = [s | d << (width * j) for d in range(p) for s in slots]
-        self._chunk = p ** k
-        self._chunk_width = width * k
-        self._chunk_slots = slots
-        # y^(m+t) mod f for t < m - 1, to fold the high half of a product
-        self._fold_rows = [self._spread(_digits_int(
-            self._qpoly_reduce([0] * (m + t) + [1], self.top_modulus), p))
-            for t in range(m - 1)] if self.e == 1 else []
+        for shift in slot[1:k * e]:
+            slots = [s | d << shift for d in range(p) for s in slots]
+        self._chunk, self._chunk_width, self._chunk_slots = q ** k, width * stride * k, slots
+        # (shift from the previous folded slot, x^r y^i mod (g, f)), where x^r
+        # is a product of two basis powers since r <= 2e - 2
+        self._fold_rows, prev = [], 0
+        for j in folded:
+            i, r = divmod(j, stride)
+            c = self.base_mul(p ** (r // 2), p ** (r - r // 2))
+            row = _digits_int(self._qpoly_reduce([0] * i + [c], self.top_modulus), q)
+            self._fold_rows.append((width * (j - prev), self._spread(row)))
+            prev = j
 
     def _spread(self, a: int) -> int:
-        """Slot form of an encoding: base-p digit j in bits [j w, (j + 1) w)."""
+        """Slot form of an encoding: digit r of y-digit i in slot i (2e - 1) + r."""
         chunk, width, slots = self._chunk, self._chunk_width, self._chunk_slots
         out, shift = 0, 0
         while a:
@@ -653,7 +659,7 @@ class FieldTower:
         return out
 
     def _gather(self, s: int) -> int:
-        """Encoding whose base-p digit j is slot j of `s` mod p."""
+        """Encoding whose digit r of y-digit i is slot i (2e - 1) + r of `s` mod p."""
         p, mask = self.p, self._slot_mask
         out = 0
         for shift in self._slot_shifts:
@@ -661,18 +667,16 @@ class FieldTower:
         return out
 
     def _kronecker_mul(self, a: int, b: int) -> int:
-        # prime q: slots hold F_p coefficients of y^j, and a slot of the
-        # product is a convolution sum below 2^w
+        # a slot of the product is a convolution sum below 2^w; each folded slot
+        # adds its residue times its row to the basis slots, which `_gather` reads
         s = self._spread(a) * self._spread(b)
-        w, mask = self._slot_width, self._slot_mask
-        low = s & self._half_mask
-        s >>= w * self.m
-        for row in self._fold_rows:
+        acc, mask, p = s & self._low_mask, self._slot_mask, self.p
+        for shift, row in self._fold_rows:
+            s >>= shift
             if not s:
                 break
-            low += (s & mask) % self.p * row
-            s >>= w
-        return self._gather(low)
+            acc += (s & mask) % p * row
+        return self._gather(acc)
 
     def _build_scalar_tables(self):
         n = self.order
@@ -895,11 +899,6 @@ class FieldTower:
     def norm(self, a: int) -> int:
         """a^((q^m - 1)/(q - 1)), the norm of a down to F_q (0 for a = 0)."""
         return self.pow(a, (self.order - 1) // (self.q - 1))
-
-    def conjugate_to(self, a: int, b: int) -> bool:
-        """True iff b lies in the sigma-conjugacy class of a: b = sigma(c) a c^-1
-        = c^(q-1) a for a c != 0 iff b / a is in the kernel of the norm."""
-        return self.norm(a) == self.norm(b)
 
     def conjugacy_classes(self):
         """Partition of the field: [{0}, C(gamma^0), ..., C(gamma^(q-2))]."""

@@ -221,12 +221,13 @@ def test_conjugacy_partition_structure(p, e, m):
     assert union == set(range(tower.order))
 
 
-def test_conjugate_to_matches_class_enumeration():
+def test_norms_match_class_enumeration():
+    # a and b are sigma-conjugate iff their norms agree (the check of lrs.validate)
     classes = F9.conjugacy_classes()
     for a in range(9):
         for b in range(9):
             in_same = any(a in c and b in c for c in classes)
-            assert F9.conjugate_to(a, b) == in_same
+            assert (F9.norm(a) == F9.norm(b)) == in_same
 
 
 def test_spec_roundtrip():
@@ -368,12 +369,14 @@ def test_spec_golden(pem):
 # Each arithmetic route against its oracle: products against the schoolbook
 # F_q polynomial product, the Frobenius map and the Euclidean inverse against
 # square-and-multiply powers.  Towers: p = 2 with e = 1, 2, 3 (packed
-# carry-less product), prime q > 2 (Kronecker product; F_{7^3} also has log
-# tables, which that product built), odd p with e = 2 (polynomial product),
-# and the prime field F_65537 past the tables.
+# carry-less product), odd p on the Kronecker product: prime q (F_{7^3} also
+# has log tables, which that product built), e = 2 and 3 with slot forms
+# spread 3, 2, 2 and 1 y-digits at a time (F_{9^10}, F_{25^6}, F_{27^5},
+# F_{49^5}), and the prime field F_65537 past the tables.
 
 ROUTE_TOWERS = [make_field(*pem) for pem in ((2, 2, 10), (2, 3, 7), (2, 1, 17), (5, 1, 10),
-                                             (3, 1, 12), (7, 1, 3), (3, 2, 6), (65537, 1, 1))]
+                                             (3, 1, 12), (7, 1, 3), (3, 2, 6), (3, 2, 10),
+                                             (5, 2, 6), (3, 3, 5), (7, 2, 5), (65537, 1, 1))]
 _route_ids = [repr(t) for t in ROUTE_TOWERS]
 _route_settings = settings(max_examples=40, deadline=None)
 
@@ -749,8 +752,7 @@ def test_mat_inv_is_two_sided_inverse(tower, data):
 # ----------------------------------------------------------------------
 # Pinned product encodings: a SHA-256 over seeded mul, inv and Frobenius
 # outputs on fields past the log tables (the packed carry-less product for
-# p = 2 with e = 2 and e = 1, the Kronecker product for q = 5 and the F_q
-# polynomial product for q = 9).
+# p = 2 with e = 2 and e = 1, the Kronecker product for q = 5 and for q = 9).
 
 PRODUCT_GOLDEN_TOWERS = [(2, 2, 10), (5, 1, 10), (3, 2, 6), (2, 1, 17)]
 PRODUCT_GOLDEN_SHA256 = "3058a8392fd271126fbca434533f750f3c47774c0a06d95819c5eb754bb05657"
