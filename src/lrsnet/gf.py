@@ -8,15 +8,15 @@ Elements are plain Python integers in a positional encoding:
 
 The encoding is bit-exact and reproducible: a field is fully described by
 (p, e, m, base_modulus, top_modulus), all moduli given low-to-high as digit
-tuples.  When moduli are not supplied they are chosen as the
-lexicographically smallest monic candidates (ordering the coefficient
-vector as base-q digits), which makes construction deterministic.  For
-m >= 2 the search starts past the binomials y^m + c, none of which is
+tuples.  Both levels share one candidate order and one check
+(``FieldTower._modulus``): a modulus not supplied is the first monic
+candidate, its low coefficients counted up as base-p (base) or base-q (top)
+digits, that is irreducible by Ben-Or's test and, at the top, has a
+primitive root, found by powers of y over the factored q^m - 1; a supplied
+one must pass the same check.  This makes construction deterministic, and
+``gamma`` (the residue of y) generates the whole multiplicative group.  For
+m >= 2 the top search starts past the binomials y^m + c, none of which is
 primitive.
-
-The top modulus is always chosen (and, if supplied, required) to have a
-primitive root, so ``gamma`` (the residue of y) generates the whole
-multiplicative group.
 
 Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 
@@ -166,22 +166,26 @@ def _iroot(n: int, e: int) -> int:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division up to about the second-largest prime
-    factor, too slow for some orders of the paper's sizes: factorize(5^34 - 1)
-    had not finished after 20 s on a 2-vCPU Xeon."""
+    """Prime factorization by trial division up to about the second-largest
+    prime factor: n is tested for primality at the start and after each
+    division, and the loop stops once the cofactor left is prime.  That test
+    is `_certified_prime`, so a ValueError stands for a factorization whose
+    last factor would rest on a probable prime, as 2^89 - 1 does.  factorize(5^34 - 1)
+    takes ~2.3 s on a 2-vCPU Xeon."""
     factors = {}
     for p in (2, 3):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    prime = _certified_prime(n)
     f = 5
-    while f * f <= n:
-        if is_prime(n):
-            break
+    while not prime and f * f <= n:
         for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
+                prime = _certified_prime(n)
         f += 6
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
@@ -209,23 +213,11 @@ class FieldTower:
         # an encoding's e*m base-p digits are its coordinates over F_p
         self._ndigits = e * m
 
-        if base_modulus is not None:
-            base_modulus = tuple(int(c) % p for c in base_modulus)
-            self._check_base_modulus(base_modulus)
-            self.base_modulus = base_modulus
-        else:
-            self.base_modulus = self._find_base_modulus()
-
+        self.base_modulus = self._modulus(base_modulus, top=False)
         self._init_base_tables()
-
         # factored on first use, so a malformed top modulus fails before it
         self._order_factors = None
-        if top_modulus is not None:
-            top_modulus = tuple(int(c) % self.q for c in top_modulus)
-            self._check_top_modulus(top_modulus)
-            self.top_modulus = top_modulus
-        else:
-            self.top_modulus = self._find_top_modulus()
+        self.top_modulus = self._modulus(top_modulus, top=True)
 
         # for m = 1, y is the root -f_0 of y + f_0
         self.gamma = self.q if m >= 2 else self.base_neg(self.top_modulus[0])
@@ -252,23 +244,6 @@ class FieldTower:
 
     # ------------------------------------------------------------------
     # base field F_q = F_p[x]/(g)
-
-    def _check_base_modulus(self, g):
-        if len(g) != self.e + 1 or g[-1] != 1:
-            raise ValueError("base modulus must be monic of degree e")
-        if self.e >= 2 and not make_field(self.p)._qpoly_irreducible(g):
-            raise ValueError("base modulus is reducible over F_p")
-
-    def _find_base_modulus(self):
-        p, e = self.p, self.e
-        if e == 1:
-            return (0, 1)  # residues mod x are the constants
-        fp = make_field(p)
-        for low in range(p ** e):
-            g = tuple(_int_digits(low, p, e)) + (1,)
-            if fp._qpoly_irreducible(g):
-                return g
-        raise AssertionError("no irreducible base modulus found")
 
     def _init_base_tables(self):
         p, e, q = self.p, self.e, self.q
@@ -332,42 +307,49 @@ class FieldTower:
         return self._base_inv_tab[a]
 
     # ------------------------------------------------------------------
-    # top field F_{q^m} = F_q[y]/(f)
+    # the moduli, and the top field F_{q^m} = F_q[y]/(f)
 
-    def _check_top_modulus(self, f):
-        if len(f) != self.m + 1 or f[-1] != 1:
-            raise ValueError("top modulus must be monic of degree m")
-        if self.m >= 2 and not self._qpoly_irreducible(f):
-            raise ValueError("top modulus is reducible over F_q")
-        if not self._root_is_primitive(f):
-            raise ValueError("top modulus root is not primitive")
-
-    def _find_top_modulus(self):
-        q, m = self.q, self.m
+    def _modulus(self, f, top: bool):
+        """The base (over F_p, degree e) or top (over F_q, degree m) modulus:
+        `f` if given and it passes `_modulus_fault`, else the first monic
+        candidate that passes, counting its low coefficients up as digits in
+        base p or q.  That order fixes every encoding."""
+        q, d = (self.q, self.m) if top else (self.p, self.e)
+        if f is not None:
+            f = tuple(int(c) % q for c in f)
+            fault = self._modulus_fault(f, top)
+            if fault:
+                raise ValueError(fault)
+            return f
         # for m >= 2 the first q candidates are the binomials y^m + c; a root
         # a has a^m in F_q, so its order divides m (q - 1) < q^m - 1 and
-        # none is primitive
-        for low in range(q if m >= 2 else 0, q ** m):
-            f = tuple(_int_digits(low, q, m)) + (1,)
-            if m >= 2 and not self._qpoly_irreducible(f):
-                continue
-            if self._root_is_primitive(f):
+        # none is primitive.  For e = 1 the first candidate x gives g = (0, 1).
+        for low in range(q if top and d >= 2 else 0, q ** d):
+            f = tuple(_int_digits(low, q, d)) + (1,)
+            if not self._modulus_fault(f, top):
                 return f
-        raise AssertionError("no primitive top modulus found")
+        raise AssertionError("no modulus found")
+
+    def _modulus_fault(self, f, top: bool):
+        """Why `f` cannot be the base or top modulus, or None: it must be
+        monic of its degree d, irreducible for d >= 2 and, at the top, have
+        a primitive root."""
+        level, over, deg, d = ("top", "q", "m", self.m) if top else ("base", "p", "e", self.e)
+        if len(f) != d + 1 or f[-1] != 1:
+            return f"{level} modulus must be monic of degree {deg}"
+        if d >= 2 and not (self if top else make_field(self.p))._qpoly_irreducible(f):
+            return f"{level} modulus is reducible over F_{over}"
+        if top and not self._root_is_primitive(f):
+            return "top modulus root is not primitive"
+        return None
 
     def _qpoly_irreducible(self, f) -> bool:
-        # f of degree d >= 2 over F_q: x^(q^d) == x mod f, and
-        # x^(q^(d/r)) - x coprime to f for every prime r | d
-        d = len(f) - 1
-        x = (0, 1)
-        frob = [x]
-        for _ in range(d):
-            frob.append(self._qpoly_powmod(frob[-1], self.q, f))
-        if _qpoly_trim(self._qpoly_sub(frob[d], x)) != ():
-            return False
-        for r in factorize(d):
-            g = self._qpoly_sub(frob[d // r], x)
-            if _qpoly_trim(self._qpoly_gcd(g, f)) != (1,):
+        """Ben-Or: f of degree d >= 2 over F_q is irreducible iff it has no
+        factor of degree <= d/2, i.e. gcd(y^(q^i) - y, f) = 1 for i <= d/2."""
+        h = y = (0, 1)
+        for _ in range((len(f) - 1) // 2):
+            h = self._qpoly_powmod(h, self.q, f)
+            if self._qpoly_gcd(self._qpoly_sub(h, y), f) != (1,):
                 return False
         return True
 

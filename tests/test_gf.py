@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -99,6 +100,16 @@ def test_supplied_non_primitive_modulus_rejected():
 def test_supplied_reducible_modulus_rejected():
     with pytest.raises(ValueError, match="reducible"):
         FieldTower(3, 1, 2, top_modulus=(2, 0, 1))  # y^2+2 = (y-1)(y+1)
+    with pytest.raises(ValueError, match="reducible"):
+        FieldTower(3, 2, 2, base_modulus=(2, 0, 1))  # x^2+2 = (x-1)(x+1)
+
+
+@pytest.mark.parametrize("moduli", [{"base_modulus": (1, 1)}, {"base_modulus": (2, 0, 2)},
+                                    {"top_modulus": (5, 1)}, {"top_modulus": (5, 1, 2)}],
+                         ids=["base-degree", "base-lead", "top-degree", "top-lead"])
+def test_supplied_modulus_not_monic_of_its_degree_rejected(moduli):
+    with pytest.raises(ValueError, match="monic of degree"):
+        FieldTower(3, 2, 2, **moduli)
 
 
 def test_non_prime_p_rejected():
@@ -354,6 +365,7 @@ SPEC_GOLDEN = {
     (3, 3, 2): ([1, 2, 0, 1], [10, 1, 1]),
     (5, 2, 3): ([2, 0, 1], [6, 1, 0, 1]),
     (7, 2, 2): ([1, 0, 1], [12, 1, 1]),
+    (5, 1, 25): ([0, 1], [2, 3, 0, 2] + [0] * 21 + [1]),
 }
 
 
@@ -884,6 +896,87 @@ def test_top_modulus_search_of_large_prime_q():
     assert FieldTower(65521, 1, 2).top_modulus == (29, 1, 1)
     assert FieldTower(2 ** 61 - 1, 1, 2).top_modulus == (43, 1, 1)
     assert time.perf_counter() - start < 1.0
+
+
+def _monic_candidates(tower, d):
+    """Every monic polynomial of degree d over F_q, low-to-high tuples."""
+    return [tuple(c) + (1,) for c in itertools.product(range(tower.q), repeat=d)]
+
+
+def _irreducible_by_trial_division(tower, f):
+    """f of degree d is reducible iff some monic polynomial of degree 1 .. d/2
+    divides it."""
+    return not any(tower._qpoly_divmod(f, g)[1] == ()
+                   for k in range(1, (len(f) - 1) // 2 + 1) for g in _monic_candidates(tower, k))
+
+
+@pytest.mark.parametrize("pe,d", [((2, 1), 4), ((2, 1), 6), ((2, 1), 8), ((3, 1), 4),
+                                  ((3, 1), 5), ((3, 1), 6), ((2, 2), 4), ((5, 1), 3),
+                                  ((5, 1), 4), ((7, 1), 3), ((2, 3), 3), ((3, 2), 3)], ids=str)
+def test_irreducibility_matches_trial_division(pe, d):
+    tower = make_field(*pe)
+    for f in _monic_candidates(tower, d):
+        assert tower._qpoly_irreducible(f) == _irreducible_by_trial_division(tower, f), f
+
+
+def _mobius(n):
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("pe,degrees", [((2, 1), range(2, 11)), ((3, 1), range(2, 7)),
+                                        ((2, 2), range(2, 6)), ((5, 1), range(2, 5)),
+                                        ((7, 1), range(2, 4)), ((2, 3), range(2, 4)),
+                                        ((3, 2), range(2, 4))], ids=str)
+def test_irreducible_counts_match_gauss(pe, degrees):
+    # the monic irreducibles of degree d over F_q number (1/d) sum_{k | d} mu(k) q^(d/k)
+    tower = make_field(*pe)
+    q = tower.q
+    for d in degrees:
+        gauss = sum(_mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+        assert sum(map(tower._qpoly_irreducible, _monic_candidates(tower, d))) == gauss, d
+
+
+def _factorize_by_trial_division(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 10))
+def test_factorize_matches_trial_division(n):
+    assert gf.factorize(n) == _factorize_by_trial_division(n)
+
+
+@pytest.mark.parametrize("n", [5 ** 25 - 1, 5 ** 34 - 1, 9 ** 16 - 1, 2 ** 40 - 1],
+                         ids=["5^25-1", "5^34-1", "9^16-1", "2^40-1"])
+def test_factorize_of_field_orders(n):
+    factors = gf.factorize(n)
+    assert all(gf.is_prime(p) for p in factors)  # certain below the bound
+    assert n == math.prod(p ** k for p, k in factors.items())
+
+
+def test_factorize_refuses_a_probable_prime_factor():
+    # 2^89 - 1 is prime, so the order of F_{2^89} has a factor that Miller-Rabin
+    # on fixed bases only calls probably prime: no primitivity claim rests on it
+    with pytest.raises(ValueError, match="deterministic"):
+        gf.factorize(2 ** 89 - 1)
+    with pytest.raises(ValueError, match="deterministic"):
+        FieldTower(2, 1, 89)
 
 
 def test_frobenius_table_guard():
