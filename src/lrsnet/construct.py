@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gf, lrs
 from .constraints import (
@@ -56,6 +57,13 @@ class ConstrainedCode:
     def cover_dim(self) -> int:
         """Dimension of the covering LRS code."""
         return self.code.k
+
+    @cached_property
+    def inverse_transform(self) -> list:
+        """T^-1, computed once per code.  The matrix is T[:k] G_LRS, so a
+        message u encodes to the LRS message (u, 0, ..., 0) T, and
+        T^-1 maps that back."""
+        return gf.mat_inv(self.code.tower, self.transform)
 
 
 def row_transform(code: LrsCode, sc: SupportConstraint) -> list:

@@ -59,12 +59,13 @@ order add, mul and reduction tables of brute force once per field, and is
 the one check of their guard.
 
 ``_qpoly_mulmod``, the schoolbook product in F_q[y], serves the modulus search
-(``_qpoly_powmod``) and the base-field tables, and is both packed products' oracle.
+(``_qpoly_powmod``) and the powers of a primitive element of F_q behind the
+base-field tables, and is both packed products' oracle.
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8 and is the oracle of the norm comparison that
 ``lrs.validate`` makes, one norm per representative; ``FieldTower.expand``
-and ``mat_inv`` serve the network decoding path that ``netsim`` keeps.
+serves the network decoding path that ``netsim`` keeps.
 """
 
 from __future__ import annotations
@@ -246,6 +247,10 @@ class FieldTower:
     # base field F_q = F_p[x]/(g)
 
     def _init_base_tables(self):
+        """For e >= 2, the q x q product table of F_q and its inverses from
+        the powers of one primitive element w: a b = w^((log a + log b) mod
+        (q - 1)).  Finding w and its powers takes O(q) `_qpoly_mulmod`
+        products; a candidate's walk stops at its order, which divides q - 1."""
         p, e, q = self.p, self.e, self.q
         if e == 1:
             self._base_mul_tab = None
@@ -254,20 +259,22 @@ class FieldTower:
         if q > _NUMPY_TABLE_MAX:
             raise ValueError(f"base field size q = {q} beyond supported table range")
         fp = make_field(p)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = _int_digits(a, p, e)
-            for b in range(a, q):
-                db = _int_digits(b, p, e)
-                v = _digits_int(fp._qpoly_mulmod(da, db, self.base_modulus), p)
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = row.index(1)
-        self._base_mul_tab = mul
-        self._base_inv_tab = inv
+        one = tuple(_int_digits(1, p, e))
+        for cand in range(2, q):
+            w = tuple(_int_digits(cand, p, e))
+            powers, x = [1], w
+            while x != one:
+                powers.append(_digits_int(x, p))
+                x = fp._qpoly_mulmod(x, w, self.base_modulus)
+            if len(powers) == q - 1:
+                break
+        exp = np.array(powers, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        self._base_mul_tab = mul.tolist()
+        self._base_inv_tab = [0] + exp[-log[1:] % (q - 1)].tolist()
 
     # For e = 1 the one-digit case stays inline: base_mul and base_sub run per
     # step of `_qpoly_divmod`, which `inv` runs on fields without log tables,
@@ -950,7 +957,9 @@ class FieldTower:
             shift = np.zeros((n, q), dtype=np.int64)
             for i in range(self.m - 1, -1, -1):
                 shift = shift * q + bmul[coef, digits[i][:, None]]
-            self._np_tables = (add, mul, add[elems, shift[elems[:, None], digits[piv]]])
+            red = add[elems, shift[elems[:, None], digits[piv]]]
+            # int32 halves the chunk arrays of brute force; order^2 < 2^31
+            self._np_tables = tuple(t.astype(np.int32) for t in (add, mul, red))
         return self._np_tables
 
     def __repr__(self):
@@ -1060,9 +1069,10 @@ def _eliminate(rows, ncols, inv, mul, sub):
     it, which leaves a row-echelon form.  Returns the pivots as found, before
     scaling (their count is the rank), and the number of row swaps.
 
-    It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`) and,
-    for odd p, the short digit lists of `FieldTower.rank_over_base`, and is
-    the oracle of the packed and numpy F_q rank kernels.
+    It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`), the
+    key equation of `lrs.decode` and, for odd p, the short digit lists of
+    `FieldTower.rank_over_base`, and is the oracle of the packed and numpy
+    F_q rank kernels.
     """
     pivots = []
     swaps = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import construct, gf, sumrank
+from . import construct, gf, lrs, sumrank
 from .constraints import (
     SupportConstraint,
     cover_dimension,
@@ -465,19 +465,23 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
 def end_to_end_trial(cc: construct.ConstrainedCode, distance: int,
                      error_weight: int, erasures: int, rng) -> bool:
     """Encode a random message, inject an exact-weight error plus erasures,
-    decode by brute force on the punctured code, compare messages."""
+    decode the covering LRS code on the kept columns by `lrs.decode` within
+    radius floor((distance - erasures - 1)/2), map its message back through
+    T^-1 and compare: the entries past k must be zero, the first k the
+    message.  `distance` may not exceed the covering code's
+    n - cover_dim + 1."""
     tower = cc.code.tower
     part = cc.code.part
     k = cc.sc.k
-    G = [list(r) for r in cc.matrix]
     msg = tuple(tower.random_element(rng) for _ in range(k))
-    cw = gf.vec_mat(tower, list(msg), G)
+    cw = gf.vec_mat(tower, list(msg), [list(r) for r in cc.matrix])
     err = random_error_of_weight(tower, part, error_weight, rng)
     y = [tower.add(c, e) for c, e in zip(cw, err)]
     erased = rng.sample(range(1, part.n + 1), erasures)
-    sub_part, keep = puncture(part, erased)
-    sub_G = [[row[j - 1] for j in keep] for row in G]
-    sub_y = [y[j - 1] for j in keep]
-    res = sumrank.bruteforce_decode(tower, sub_G, sub_part, sub_y,
-                                    code_distance=distance - erasures)
-    return res.ok and res.message == msg
+    keep = puncture(part, erased)[1]
+    f = lrs.decode(cc.code, [y[j - 1] for j in keep], keep,
+                   radius=(distance - erasures - 1) // 2)
+    if f is None:
+        return False
+    u = gf.vec_mat(tower, list(f), cc.inverse_transform)
+    return tuple(u[:k]) == msg and not any(u[k:])

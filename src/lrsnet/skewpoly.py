@@ -6,6 +6,10 @@ evaluation: f(a) = sum_i f_i N_i(a) with the truncated norm
 N_i(a) = a^((q^i - 1)/(q - 1)), which equals the remainder of f on right
 division by (X - a).
 
+Division comes in two kinds: `right_div` writes f = quo * g + rem, and
+`left_div` writes f = g * quo + rem, which `lrs.decode` uses to take the
+message f from R = L * f.
+
 Minimal polynomials come from Newton interpolation without inverses: a step
 left-multiplies the running product g by (v X - sigma(v) a) with v = g(a),
 and one ``monic`` at the end normalises.  `minimal_polynomials` builds many
@@ -158,6 +162,37 @@ def right_div(f: SkewPoly, g: SkewPoly):
         for j, gc in enumerate(sg):
             if gc:
                 rem[d + j] = t.sub(rem[d + j], t.mul(c, gc))
+    return SkewPoly(t, quo), SkewPoly(t, rem)
+
+
+def left_div(f: SkewPoly, g: SkewPoly):
+    """Quotient and remainder with f = g * quo + rem, deg rem < deg g.
+
+    g (c X^d) = sum_j g_j sigma^j(c) X^(j+d), so the term that cancels the
+    lead r of the remainder at degree d + deg g has c = sigma^-deg g(r / g_lead).
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("left division by the zero polynomial")
+    t = f.tower
+    rem = list(f.coeffs)
+    dg = len(g.coeffs) - 1
+    if len(rem) - 1 < dg:
+        return SkewPoly.zero(t), f
+    quo = [0] * (len(rem) - dg)
+    inv_lead = t.inv(g.coeffs[-1])
+    for d in range(len(rem) - 1 - dg, -1, -1):
+        lead = rem[d + dg]
+        if lead == 0:
+            continue
+        c = t.frobenius(t.mul(inv_lead, lead), -dg)
+        quo[d] = c
+        # rem -= g * (c X^d)
+        sc = c
+        for j, gc in enumerate(g.coeffs):
+            if j > 0:
+                sc = t.frobenius(sc)
+            if gc:
+                rem[d + j] = t.sub(rem[d + j], t.mul(gc, sc))
     return SkewPoly(t, quo), SkewPoly(t, rem)
 
 

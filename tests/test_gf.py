@@ -329,6 +329,39 @@ def test_base_numpy_tables_match_scalar_ops(pem):
             assert mul[a, b] == tower.base_mul(a, b)
 
 
+def _base_product(tower, a, b):
+    """a b in F_q by the schoolbook product mod the base modulus."""
+    p, e = tower.p, tower.e
+    prod = make_field(p)._qpoly_mulmod(gf._int_digits(a, p, e), gf._int_digits(b, p, e),
+                                        tower.base_modulus)
+    return gf._digits_int(prod, p)
+
+
+# the base tables come from the powers of a primitive element; check them
+# against the polynomial product on every pair up to q = 64
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                                 (5, 2), (7, 2)])
+def test_base_tables_match_polynomial_products(p, e):
+    tower = make_field(p, e, 1)
+    q = tower.q
+    for a in range(q):
+        for b in range(q):
+            assert tower.base_mul(a, b) == _base_product(tower, a, b)
+        if a:
+            assert tower.base_mul(a, tower.base_inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (7, 3), (2, 9)],
+                         ids=["F256", "F243", "F343", "F512"])
+def test_base_tables_match_sampled_products(p, e):
+    tower = make_field(p, e, 1)
+    rng = random.Random(p * 100 + e)
+    for _ in range(2000):
+        a, b = rng.randrange(tower.q), rng.randrange(tower.q)
+        assert tower.base_mul(a, b) == _base_product(tower, a, b)
+    assert all(tower.base_mul(a, tower.base_inv(a)) == 1 for a in range(1, tower.q))
+
+
 def test_class_enumeration_guard():
     tower = make_field(2, 1, 21)  # order 2^21, just past the guard
     with pytest.raises(ValueError, match="guard"):

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsnet.gf import make_field, mat_rank, vec_mat
 from lrsnet.lrs import (
     LrsCode,
+    decode,
     default_multipliers,
     default_representatives,
     encode,
@@ -16,8 +19,19 @@ from lrsnet.lrs import (
     make_code,
     validate,
 )
+from lrsnet.netsim import (
+    NetworkInstance,
+    build_distributed_code,
+    puncture,
+    random_error_of_weight,
+)
 from lrsnet.skewpoly import is_p_independent, truncated_norm
-from lrsnet.sumrank import OrderedPartition, min_distance_bruteforce
+from lrsnet.sumrank import (
+    OrderedPartition,
+    bruteforce_decode,
+    min_distance_bruteforce,
+    sum_rank_weight,
+)
 
 F9 = make_field(3, 1, 2)
 F81 = make_field(3, 1, 4)
@@ -177,3 +191,174 @@ def test_dimension_above_min_block_length_allowed():
     assert validate(code) == []
     d = min_distance_bruteforce(F81, generator_matrix(code), part)
     assert d == part.n - code.k + 1
+
+
+# ----------------------------------------------------------------------
+# Welch-Berlekamp decoding against the brute-force oracle
+
+def _random_multipliers(tower, part, rng):
+    out = []
+    for nl in part.parts:
+        while True:
+            blk = [tower.random_nonzero(rng) for _ in range(nl)]
+            if tower.linearly_independent_over_base(blk):
+                break
+        out.append(tuple(blk))
+    return tuple(out)
+
+
+_ORACLE_MESSAGES = 1 << 13  # brute-force cost cap per example
+
+
+@st.composite
+def _decoding_cases(draw, tower, parts):
+    """(code, kept columns, their partition, message, received word, error
+    weight): an LRS code on `parts` (a strategy), random multipliers, random
+    puncturing that keeps at least k columns, and an error of weight
+    0 .. tau + 1 on the kept columns, or else a uniformly random word (error
+    weight None)."""
+    part = OrderedPartition(draw(parts))
+    kmax = max(k for k in range(1, part.n + 1) if tower.order ** k <= _ORACLE_MESSAGES)
+    k = draw(st.integers(1, kmax))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    code = make_code(tower, part, k, multipliers=_random_multipliers(tower, part, rng))
+    erased = draw(st.sets(st.integers(1, part.n), max_size=part.n - k))
+    sub_part, keep = puncture(part, erased)
+    weight = draw(st.integers(0, (len(keep) - k) // 2 + 1))
+    msg = tuple(tower.random_element(rng) for _ in range(k))
+    cw = encode(code, msg)
+    if draw(st.booleans()):
+        err = random_error_of_weight(tower, sub_part, weight, rng)
+    else:
+        err, weight = [tower.random_element(rng) for _ in keep], None
+    y = [tower.add(cw[j - 1], e) for j, e in zip(keep, err)]
+    return code, keep, sub_part, msg, y, weight
+
+
+def _check_against_bruteforce(case):
+    code, keep, sub_part, msg, y, weight = case
+    t, k = code.tower, code.k
+    G = [[row[j - 1] for j in keep] for row in generator_matrix(code)]
+    # the punctured code is MSRD: distance n' - k + 1, radius tau
+    res = bruteforce_decode(t, G, sub_part, y, code_distance=len(keep) - k + 1)
+    got = decode(code, y, keep)
+    if res.ok:
+        assert got == res.message
+    else:
+        assert got is None
+    # the sent message comes back exactly when the error is within tau
+    if weight is not None:
+        assert (got == msg) == (weight <= (len(keep) - k) // 2)
+
+
+def _blocks(tower, max_blocks):
+    """Block sizes 1 .. m for 1 .. min(q - 1, max_blocks) blocks."""
+    ell = st.integers(1, min(tower.q - 1, max_blocks))
+    return ell.flatmap(lambda n: st.lists(st.integers(1, tower.m), min_size=n, max_size=n))
+
+
+# F_16 twice: over F_4 (three blocks of up to 2) and over F_2 (one block)
+DECODE_TOWERS = [make_field(3, 1, 2), make_field(2, 2, 2), make_field(2, 1, 4),
+                 make_field(5, 1, 2), make_field(3, 1, 3), make_field(3, 1, 4)]
+_decode_ids = ["F9", "F16-over-F4", "F16-over-F2", "F25", "F27", "F81"]
+
+
+@pytest.mark.parametrize("tower", DECODE_TOWERS, ids=_decode_ids)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decode_matches_bruteforce(tower, data):
+    _check_against_bruteforce(data.draw(_decoding_cases(tower, _blocks(tower, 4))))
+
+
+# the paper's extremes: n blocks of size 1 over F_q with m = 1 is Reed-Solomon
+# in the Hamming metric, one block is Gabidulin in the rank metric
+@pytest.mark.parametrize("tower", [make_field(3, 2, 1), make_field(2, 4, 1), make_field(5, 2, 1)],
+                         ids=["F9", "F16", "F25"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_decode_reed_solomon_extreme(tower, data):
+    parts = st.integers(1, min(tower.q - 1, 10)).map(lambda n: (1,) * n)
+    _check_against_bruteforce(data.draw(_decoding_cases(tower, parts)))
+
+
+@pytest.mark.parametrize("tower", [make_field(2, 1, 5), make_field(2, 1, 6), make_field(3, 1, 4)],
+                         ids=["F32", "F64", "F81"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_decode_gabidulin_extreme(tower, data):
+    parts = st.integers(1, tower.m).map(lambda n: (n,))
+    _check_against_bruteforce(data.draw(_decoding_cases(tower, parts)))
+
+
+def test_decode_refuses_a_quotient_of_degree_k():
+    # past the radius the key equation can divide exactly with deg f >= k:
+    # here R = L f with f = 4 + 4X + 3X^2 for k = 2, which is no message
+    code = make_code(F9, OrderedPartition((2, 2)), 2)
+    assert decode(code, [2, 3, 2, 0]) is None
+    G = generator_matrix(code)
+    assert not bruteforce_decode(F9, G, code.part, [2, 3, 2, 0], code_distance=3).ok
+
+
+def test_decode_radius_and_inputs():
+    code = make_code(F81, OrderedPartition((3, 3)), 2)
+    t = code.tower
+    cw = encode(code, [5, 7])
+    assert decode(code, cw) == (5, 7)
+    # two errors in one block: rank 1 if one is an F_3 multiple of the other
+    y = list(cw)
+    y[0] = t.add(y[0], 1)
+    y[1] = t.add(y[1], 2)
+    assert decode(code, y) == (5, 7)            # weight 1 <= tau = 2
+    assert decode(code, y, radius=1) == (5, 7)
+    assert decode(code, y, radius=0) is None
+    assert decode(code, y, radius=-1) is None
+    assert decode(code, y[1:], columns=range(2, 7)) == (5, 7)
+    assert decode(code, [cw[j - 1] for j in (6, 2, 4)], columns=(6, 2, 4)) == (5, 7)
+    assert decode(code, cw[:1], columns=[1]) is None   # fewer than k columns
+    with pytest.raises(ValueError, match="radius 3 exceeds"):
+        decode(code, y, radius=3)
+    with pytest.raises(ValueError, match="distinct"):
+        decode(code, cw[:2], columns=[1, 1])
+    with pytest.raises(ValueError, match="distinct"):
+        decode(code, cw[:2], columns=[0, 1])
+    with pytest.raises(ValueError, match="length"):
+        decode(code, cw[:5])
+    with pytest.raises(ValueError, match="not an element"):
+        decode(code, [81] + cw[1:])
+
+
+# the README toy network: a [23, 9, 15] code over F_{4^10}, far past the
+# brute-force guard, decoded at its full radius tau = 7
+TOY = NetworkInstance(h=4, lengths=(1, 3, 2, 3),
+                      access=({1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}), t=2, rho=2, ell=3)
+
+
+def test_decode_past_the_bruteforce_guard():
+    cc = build_distributed_code(TOY, seed=0).code
+    code, t, part = cc.code, cc.code.tower, cc.code.part
+    assert (code.n, code.k, t.order) == (23, 9, 4 ** 10)
+    rng = random.Random(0)
+    for _ in range(4):
+        msg = [t.random_element(rng) for _ in range(code.k)]
+        # a sum of 7 rank-one block pieces u v, u over F_q and v in F_{q^m}
+        while True:
+            err = [0] * code.n
+            for _ in range(7):
+                a, b = part.slices()[rng.randrange(part.ell)]
+                v = t.random_nonzero(rng)
+                for j in range(a, b):
+                    err[j] = t.add(err[j], t.mul(rng.randrange(t.q), v))
+            if sum_rank_weight(t, err, part) == 7:
+                break
+        y = [t.add(c, e) for c, e in zip(encode(code, msg), err)]
+        assert decode(code, y) == tuple(msg)
+        # one more rank-one piece puts it past the radius: the certificate
+        # refuses anything it finds
+        a, b = part.slices()[0]
+        y2 = list(y)
+        v = t.random_nonzero(rng)
+        for j in range(a, b):
+            y2[j] = t.add(y2[j], t.mul(rng.randrange(1, t.q), v))
+        got = decode(code, y2)
+        assert got is None or sum_rank_weight(
+            t, [t.sub(u, c) for u, c in zip(y2, encode(code, got))], part) <= 7

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lrsnet import gf
 from lrsnet.constraints import cover_dimension, derive_zero_sets
 from lrsnet.construct import verify_support
-from lrsnet.gf import _eliminate, make_field, mat_mul, mat_rank, prime_power
+from lrsnet.gf import _eliminate, make_field, mat_mul, mat_rank, prime_power, vec_mat
 from lrsnet.netsim import (
     ChannelRealization,
     DesignResult,
@@ -31,7 +31,7 @@ from lrsnet.netsim import (
     transmit,
     weight_statistics,
 )
-from lrsnet.sumrank import OrderedPartition
+from lrsnet.sumrank import OrderedPartition, bruteforce_decode
 
 TOY = NetworkInstance(
     h=4, lengths=(1, 3, 2, 3),
@@ -590,6 +590,85 @@ def test_end_to_end_micro_with_erasure():
     for _ in range(20):
         assert end_to_end_trial(cc, 3, error_weight=1, erasures=0, rng=rng)
         assert end_to_end_trial(cc, 3, error_weight=0, erasures=1, rng=rng)
+
+
+def _bruteforce_trial(cc, distance, error_weight, erasures, rng):
+    """`end_to_end_trial` with nearest-codeword decoding of the punctured
+    subcode by brute force, the oracle of its algebraic decoding."""
+    tower, part, k = cc.code.tower, cc.code.part, cc.sc.k
+    G = [list(r) for r in cc.matrix]
+    msg = tuple(tower.random_element(rng) for _ in range(k))
+    cw = vec_mat(tower, list(msg), G)
+    err = random_error_of_weight(tower, part, error_weight, rng)
+    y = [tower.add(c, e) for c, e in zip(cw, err)]
+    erased = rng.sample(range(1, part.n + 1), erasures)
+    sub_part, keep = puncture(part, erased)
+    res = bruteforce_decode(tower, [[row[j - 1] for j in keep] for row in G], sub_part,
+                            [y[j - 1] for j in keep], code_distance=distance - erasures)
+    return res.ok and res.message == msg
+
+
+# micro shapes over partition (3, 3): (field, k, zero sets); the second,
+# fourth and fifth violate the condition, so their covering code is larger
+_TRIAL_CODES = [
+    ((3, 1, 3), 2, ({1}, {4})),
+    ((3, 1, 3), 2, ({1}, {1})),
+    ((3, 1, 3), 3, ({1, 4}, {2}, set())),
+    ((3, 1, 4), 2, ({2}, {2})),
+    ((3, 1, 4), 2, ({1, 2}, {1, 2})),
+]
+
+
+def test_end_to_end_trial_matches_bruteforce_trial():
+    from lrsnet.construct import subcode_generator
+    from lrsnet.constraints import SupportConstraint
+
+    part = OrderedPartition((3, 3))
+    outcomes, cover_dims = [], []
+    for spec, k, zs in _TRIAL_CODES:
+        sc = SupportConstraint(6, k, tuple(frozenset(z) for z in zs))
+        cc = subcode_generator(make_field(*spec), part, k, sc, seed=0)
+        cover_dims.append(cc.cover_dim)
+        full = 6 - cc.cover_dim + 1
+        # the designed distance, and one below it: a radius short of tau
+        for distance in (full, full - 1):
+            for erasures in range(3):
+                radius = (distance - erasures - 1) // 2
+                for weight in {max(radius, 0), radius + 1}:
+                    for seed in range(3):
+                        rng, ref = random.Random(seed), random.Random(seed)
+                        got = end_to_end_trial(cc, distance, weight, erasures, rng)
+                        assert got == _bruteforce_trial(cc, distance, weight, erasures, ref)
+                        assert rng.getstate() == ref.getstate()
+                        outcomes.append(got)
+    assert cover_dims == [2, 3, 3, 3, 4]
+    assert (len(outcomes), sum(outcomes)) == (177, 88)
+
+
+def test_end_to_end_trial_refuses_a_codeword_outside_the_subcode(monkeypatch):
+    # a k = 2 subcode of a cover_dim = 3 code: an error that puts the word
+    # within radius 1 of c + d, d = (0, 0, 1) T G_LRS, decodes to the
+    # covering message (msg, 1), which the trial must count as a failure
+    from lrsnet import netsim
+    from lrsnet.constraints import SupportConstraint
+    from lrsnet.construct import subcode_generator
+    from lrsnet.lrs import decode, generator_matrix
+
+    F27 = make_field(3, 1, 3)
+    sc = SupportConstraint(6, 2, (frozenset({1}), frozenset({1})))
+    cc = subcode_generator(F27, OrderedPartition((3, 3)), 2, sc, seed=0)
+    assert cc.cover_dim == 3
+    d = vec_mat(F27, [0, 0, 1], mat_mul(F27, [list(r) for r in cc.transform],
+                                        generator_matrix(cc.code)))
+    j = next(j for j, v in enumerate(d) if v)
+    err = [0 if i == j else v for i, v in enumerate(d)]  # weight >= 4 - 1
+    monkeypatch.setattr(netsim, "random_error_of_weight", lambda *args: list(err))
+    assert not end_to_end_trial(cc, 4, 1, 0, random.Random(0))
+    rng = random.Random(0)
+    msg = [F27.random_element(rng) for _ in range(2)]
+    y = [F27.add(c, e) for c, e in zip(vec_mat(F27, msg, [list(r) for r in cc.matrix]), err)]
+    f = decode(cc.code, y, radius=1)
+    assert vec_mat(F27, list(f), cc.inverse_transform) == msg + [1]
 
 
 def test_designed_code_survives_frozen_node():

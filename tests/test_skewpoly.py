@@ -17,6 +17,7 @@ from lrsnet.skewpoly import (
     gcrd,
     is_p_independent,
     lclm,
+    left_div,
     minimal_polynomial,
     minimal_polynomials,
     right_div,
@@ -100,6 +101,40 @@ def test_right_division_reconstructs():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         right_div(SkewPoly.one(F9), SkewPoly.zero(F9))
+    with pytest.raises(ZeroDivisionError):
+        left_div(SkewPoly.one(F9), SkewPoly.zero(F9))
+
+
+# F_{2^40} and F_{5^10} have no log tables: their products and Frobenius
+# powers run on the packed routes
+_DIV_TOWERS = [F9, F27, make_field(2, 2, 3), make_field(2, 1, 40), make_field(5, 1, 10)]
+
+
+@pytest.mark.parametrize("tower", _DIV_TOWERS, ids=["F9", "F27", "F64", "F2^40", "F5^10"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_left_division_reconstructs(tower, data):
+    seed = data.draw(st.integers(0, 2 ** 32))
+    rng = random.Random(seed)
+    f = SkewPoly(tower, [tower.random_element(rng)
+                         for _ in range(data.draw(st.integers(0, 7)))])
+    g = rand_poly(tower, rng, data.draw(st.integers(0, 4)))
+    q, r = left_div(f, g)
+    assert skew_mul(g, q) + r == f
+    assert r.degree < g.degree
+    # an exact left multiple divides with no remainder, and the cofactor
+    # comes back
+    h = rand_poly(tower, rng, data.draw(st.integers(0, 4)))
+    assert left_div(skew_mul(g, h), g) == (h, SkewPoly.zero(tower))
+
+
+def test_left_and_right_division_differ():
+    # X * gamma = gamma^3 X over F_9: X * gamma is gamma^3 times X from the
+    # right side, but the left cofactor of X is sigma^-1(gamma^3) = gamma
+    xg = skew_mul(SkewPoly(F9, (0, 1)), SkewPoly(F9, (G,)))
+    assert left_div(xg, SkewPoly(F9, (0, 1))) == (SkewPoly(F9, (G,)), SkewPoly.zero(F9))
+    assert right_div(xg, SkewPoly(F9, (0, 1))) == (SkewPoly(F9, (F9.pow(G, 3),)),
+                                                   SkewPoly.zero(F9))
 
 
 def test_truncated_norm_values():
