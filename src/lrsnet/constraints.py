@@ -37,10 +37,11 @@ from itertools import compress
 from typing import NamedTuple
 
 # Bits n k of the support graph `_support` builds (n masks of k bits).  The
-# toy access structure with r_4 = 2883 (n = 2903, k = 2889) is the largest
-# inside; `check_condition` decides it in 2.4 s on a 2-vCPU Xeon.  At
-# r_4 = 10^6 the graph would need ~10^12 bits, and building it exhausted
-# memory.
+# guard bounds memory, not time: the toy access structure with r_4 = 2883
+# (n = 2903, k = 2889) is the largest inside, and `check_condition` decides
+# it in 2 ms on a 2-vCPU Xeon, a half-dense random n = k = 2896 pattern in
+# 4.3 s.  At r_4 = 10^6 the graph would need ~10^12 bits, and building it
+# exhausted memory.
 _SUPPORT_GRAPH_MAX_BITS = 1 << 23
 
 
@@ -63,14 +64,16 @@ class SupportConstraint:
 
     def masks(self):
         """Zero sets as bitmasks, bit j - 1 for column j, each parsed from an
-        n-digit binary string: summing the powers of two is quadratic in n."""
-        out = []
+        n-digit binary string: summing the powers of two is quadratic in n.
+        Equal zero sets share one mask, built once."""
+        built = {}
         for z in self.zero_sets:
-            digits = bytearray(b"0" * self.n)
-            for j in z:
-                digits[self.n - j] = 49  # "1", most significant digit first
-            out.append(int(digits, 2))
-        return out
+            if z not in built:
+                digits = bytearray(b"0" * self.n)
+                for j in z:
+                    digits[self.n - j] = 49  # "1", most significant digit first
+                built[z] = int(digits, 2)
+        return [built[z] for z in self.zero_sets]
 
 
 @dataclass(frozen=True)
@@ -106,24 +109,28 @@ def _support(sc: SupportConstraint) -> list:
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _augment(adj, row_of, col_of, start, seen) -> bool:
+def _augment(adj, row_of, col_of, start, seen, used=0) -> int:
     """Grow a matching of columns into rows by one augmenting path from the
-    free column `start`.
+    free column `start`; the bit of the free row the path ends at, or 0.
 
     adj[c] is the bitmask of rows joined to column c, row_of/col_of hold the
-    matched pairs both ways, and rows set in `seen` are barred.  The search
-    is iterative, so no path length meets the recursion limit; on failure
-    the matching is left as it was.
+    matched pairs both ways, and rows set in `seen` are barred.  From each
+    column the search takes the lowest unseen row joined to it, preferring
+    one outside `used` (rows matched or barred), which ends the path at
+    once; with `used` = 0 no row is preferred.  The search is iterative, so
+    no path length meets the recursion limit; on failure the matching is
+    left as it was.
     """
     path, picked = [start], []
     while path:
-        free = adj[path[-1]] & ~seen
-        if not free:
+        rows = adj[path[-1]] & ~seen
+        if not rows:
             path.pop()
             if picked:
                 picked.pop()
             continue
-        low = free & -free
+        rows = rows & ~used or rows
+        low = rows & -rows
         seen |= low
         row = low.bit_length() - 1
         picked.append(row)
@@ -132,30 +139,55 @@ def _augment(adj, row_of, col_of, start, seen) -> bool:
             for c, r in zip(path, picked):
                 row_of[c] = r
                 col_of[r] = c
-            return True
+            return low
         path.append(nxt)
-    return False
+    return 0
 
 
 def _matching(adj, cols: int, barred: int):
-    """Maximum matching of the column bitmask `cols` into the rows outside
-    `barred`, as (row_of, col_of).  Columns are tried in ascending order, read
-    off one binary string: clearing bits of an n-bit int one at a time costs
-    O(n) per column.
+    """A maximum matching of the column bitmask `cols` into the rows outside
+    `barred`, as (row_of, col_of).  Columns are taken in ascending order,
+    read off one binary string: clearing bits of an n-bit int one at a time
+    costs O(n) per column.
 
-    A column whose neighbours match those of a column that found no
+    A greedy pass first gives each column the lowest free row it is joined
+    to.  Only the columns it leaves unmatched search for augmenting paths,
+    each stepping to a free row as soon as it reaches a column joined to
+    one, and the searches stop once every row that some column of `cols` is
+    joined to is matched or barred: no path can then end at a free row.  A
+    column whose neighbours match those of a column that found no
     augmenting path is skipped: any path from it would start one from that
     free column too, and by Berge's lemma a free vertex without an
-    augmenting path never gains one as the matching grows.  So the matching
-    is the one the full scan builds, at no more than (distinct neighbour
-    sets + k) searches.
+    augmenting path never gains one as the matching grows.  So at most
+    (distinct neighbour sets + k) searches run.  Which maximum matching
+    comes out is not specified; every caller reads only its size, or
+    whether a complete one exists, and by Berge's lemma neither depends on
+    which maximum matching is held.
     """
     row_of, col_of = {}, {}
-    failed = set()
+    used, reach, left = barred, 0, []
     bits = bin(cols)[:1:-1].encode().translate(_BIT_VALUES)  # bit c at index c
     for c in compress(range(len(bits)), bits):
-        if adj[c] not in failed and not _augment(adj, row_of, col_of, c, barred):
-            failed.add(adj[c])
+        nbrs = adj[c]
+        reach |= nbrs
+        free = nbrs & ~used
+        if free:
+            low = free & -free
+            used |= low
+            row = low.bit_length() - 1
+            row_of[c] = row
+            col_of[row] = c
+        else:
+            left.append(c)
+    failed = set()
+    for c in left:
+        if not reach & ~used:
+            break
+        if adj[c] not in failed:
+            got = _augment(adj, row_of, col_of, c, barred, used)
+            used |= got
+            if not got:
+                failed.add(adj[c])
     return row_of, col_of
 
 
@@ -164,7 +196,7 @@ def _deficiency(adj, cols: int, barred: int) -> int:
     return cols.bit_count() - len(_matching(adj, cols, barred)[0])
 
 
-def _least_witness(sc: SupportConstraint, adj) -> tuple:
+def _least_witness(sc: SupportConstraint, adj, masks) -> tuple:
     """Lexicographically least violating row subset of a failing pattern.
 
     Walks the include-first subset order, which is lexicographic on sorted
@@ -174,7 +206,7 @@ def _least_witness(sc: SupportConstraint, adj) -> tuple:
     the same Koenig argument as the decision; so the walk costs O(k^2)
     matchings.
     """
-    k, masks = sc.k, sc.masks()
+    k = sc.k
     chosen, inter, start = [], (1 << sc.n) - 1, 0
     while True:
         row = next(r for r in range(start, k)
@@ -198,38 +230,50 @@ def check_condition(sc: SupportConstraint) -> ConditionReport:
     """Decide the condition by the cover dimension, which is k exactly when
     it holds; on a violation, report the lexicographically least violating
     row subset."""
-    cover_dim = cover_dimension(sc)
+    adj = _support(sc)
+    masks = sc.masks()
+    cover_dim = sc.k + _max_deficiency(adj, masks)
     if cover_dim == sc.k:
         return ConditionReport(True, None, _equality_system(sc), cover_dim)
-    return ConditionReport(False, _least_witness(sc, _support(sc)), False, cover_dim)
+    return ConditionReport(False, _least_witness(sc, adj, masks), False, cover_dim)
+
+
+def _max_deficiency(adj, masks) -> int:
+    """Largest deficiency of a zero set, from one matching of each distinct
+    Z_i into the other rows: no row need be barred, since row i is joined
+    to no column of Z_i, so rows with equal zero sets pose one problem."""
+    return max(_deficiency(adj, mask, 0) for mask in set(masks))
 
 
 def cover_dimension(sc: SupportConstraint) -> int:
-    """max over nonempty subsets of |intersection| + |subset| (always >= k),
-    from one matching of each Z_i into the other rows (no row need be
-    barred: row i is joined to no column of Z_i)."""
-    adj = _support(sc)
-    return sc.k + max(_deficiency(adj, mask, 0) for mask in sc.masks())
+    """max over nonempty subsets of |intersection| + |subset| (always >= k)."""
+    return sc.k + _max_deficiency(_support(sc), sc.masks())
 
 
 def _add_zero(adj, matchings, i: int, c: int) -> bool:
     """Make 0-based column c a zero of row i if the condition survives.
 
-    This deletes the edge (c, row i).  Row i's matching needs one augmenting
-    path from its new column c, and every other matching that paired c with
-    row i needs one from c again; if any fails, all is restored.
+    This deletes the edge (c, row i).  Each matching that paired c with row
+    i needs an augmenting path from c again, and row i's matching needs one
+    from its new column c.  At the first that fails, its pair and the edge
+    come back; the matchings already re-augmented are kept, since a
+    complete matching without the edge is one with it too.
     """
+    zeros = ~adj[c] & ((1 << len(matchings)) - 1)  # the rows whose matchings hold c
     adj[c] &= ~(1 << i)
-    touched = [r for r, (row_of, _) in enumerate(matchings) if row_of.get(c) == i]
-    saved = [(r, dict(matchings[r][0]), dict(matchings[r][1])) for r in touched + [i]]
-    for r in touched:
-        row_of, col_of = matchings[r]
-        del row_of[c], col_of[i]
-    if all(_augment(adj, *matchings[r], c, 0) for r in touched + [i]):
+    while zeros:
+        low = zeros & -zeros
+        zeros ^= low
+        row_of, col_of = matchings[low.bit_length() - 1]
+        if row_of[c] == i:
+            del row_of[c], col_of[i]
+            if not _augment(adj, row_of, col_of, c, 0):
+                row_of[c], col_of[i] = i, c
+                adj[c] |= 1 << i
+                return False
+    if _augment(adj, *matchings[i], c, 0):
         return True
     adj[c] |= 1 << i
-    for r, row_of, col_of in saved:
-        matchings[r] = (row_of, col_of)
     return False
 
 
@@ -239,12 +283,15 @@ def complete_zero_sets(sc: SupportConstraint) -> SupportConstraint:
     The per-row matchings decide the condition first and are then updated
     in place: rows are processed in index order and candidate columns in
     increasing order, and a candidate is kept only if the condition still
-    holds; a pattern that violates it raises ConditionViolation.
+    holds; a pattern that violates it raises ConditionViolation.  Rows with
+    equal zero sets start from copies of one matching.
     """
     adj = _support(sc)
-    matchings = [_matching(adj, mask, 0) for mask in sc.masks()]
+    masks = sc.masks()
+    distinct = {mask: _matching(adj, mask, 0) for mask in set(masks)}
+    matchings = [(dict(distinct[mask][0]), dict(distinct[mask][1])) for mask in masks]
     if any(len(row_of) < len(z) for (row_of, _), z in zip(matchings, sc.zero_sets)):
-        raise ConditionViolation(_least_witness(sc, adj))
+        raise ConditionViolation(_least_witness(sc, adj, masks))
     zero_sets = [set(z) for z in sc.zero_sets]
     for i in range(sc.k):
         for j in range(1, sc.n + 1):

@@ -327,6 +327,37 @@ def test_matching_skips_columns_whose_neighbours_failed(monkeypatch):
     assert cover_dimension(sc) == sc.k + 200000 - 6
 
 
+def test_matching_skips_failed_neighbours_before_rows_saturate(monkeypatch):
+    # rows 0-2: column 0 takes row 0 and column 51 row 1, so the 50 columns
+    # joined to row 0 alone and column 52 (row 1) search for paths while row
+    # 2 is free; the first of the 50 fails, the other 49 share its neighbours
+    adj = [0b001] * 51 + [0b110, 0b010]
+    calls = []
+    real = constraints._augment
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(constraints, "_augment", counted)
+    row_of, _ = constraints._matching(adj, (1 << len(adj)) - 1, 0)
+    assert len(row_of) == 3
+    assert len(calls) <= len(set(adj)) + 3
+
+
+def test_augment_steps_to_a_free_row_first():
+    # column 0 is joined to rows 0 and 2; row 0 holds column 1, which could
+    # move on to row 1, but the free row 2 ends the path at once
+    adj = [0b101, 0b011]
+    row_of, col_of = {1: 0}, {0: 1}
+    assert constraints._augment(adj, row_of, col_of, 0, 0, 0b001) == 0b100
+    assert row_of == {0: 2, 1: 0} and col_of == {2: 0, 0: 1}
+    # with no row known to be matched it takes the lowest row, row 0
+    row_of, col_of = {1: 0}, {0: 1}
+    assert constraints._augment(adj, row_of, col_of, 0, 0) == 0b010
+    assert row_of == {0: 0, 1: 1} and col_of == {0: 0, 1: 1}
+
+
 def _full_scan_matching(adj, cols, barred):
     row_of, col_of = {}, {}
     for c in range(len(adj)):
@@ -337,14 +368,42 @@ def _full_scan_matching(adj, cols, barred):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_matching_equals_full_scan(data):
-    # few distinct neighbour sets over many columns, so skips are common
+def test_matching_is_maximum(data):
+    # few distinct neighbour sets over many columns, so skips are common; or
+    # columns each missing at most one row, which saturate the rows early
     k = data.draw(st.integers(1, 6))
-    kinds = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4))
+    full = (1 << k) - 1
+    if data.draw(st.booleans()):
+        kinds = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    else:
+        kinds = [full & ~(1 << r) for r in range(k + 1)]
     adj = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30))
     cols = data.draw(st.integers(0, (1 << len(adj)) - 1))
-    barred = data.draw(st.integers(0, (1 << k) - 1))
-    assert constraints._matching(adj, cols, barred) == _full_scan_matching(adj, cols, barred)
+    barred = data.draw(st.integers(0, full))
+    row_of, col_of = constraints._matching(adj, cols, barred)
+    for c, r in row_of.items():
+        assert cols >> c & 1 and adj[c] >> r & 1 and not barred >> r & 1
+    assert {r: c for c, r in row_of.items()} == col_of
+    # any maximum matching will do: only its size reaches an output
+    assert len(row_of) == len(_full_scan_matching(adj, cols, barred)[0])
+
+
+def test_cover_dimension_matches_each_distinct_zero_set_once(monkeypatch):
+    # the toy access structure with r_4 = 2000: its 2006 rows have 4
+    # distinct zero sets, and each poses one matching problem
+    sc = derive_zero_sets(TOY_ACCESS, (1, 3, 2, 2000), (50, 7, 2, 2000))
+    calls = []
+    real = constraints._matching
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(constraints, "_matching", counted)
+    # a row of message 4 vanishes on source 1's 50 columns, which match only
+    # into the 6 rows of messages 1-3
+    assert cover_dimension(sc) == sc.k + 50 - 6
+    assert len(calls) <= len(set(sc.zero_sets)) == 4
 
 
 def test_completion_of_empty_square_pattern_is_equality_system():
@@ -452,4 +511,62 @@ def test_completion_matches_brute_greedy(sc):
     assume(brute_condition(sc)[0] <= sc.k)
     expected = brute_greedy_completion(sc)
     assert expected is not None  # with n >= k the greedy never gets stuck
+    assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)
+
+
+# ----------------------------------------------------------------------
+# the completion against one that holds full-scan matchings, k <= 10, n <= 14
+
+
+@st.composite
+def thinned_equality_systems(draw):
+    """Subsets of the zero sets of an equality system: each holds the
+    condition, which is monotone under removal."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k, 14))
+    universe = draw(st.permutations(range(1, n + 1)))[:k]
+    missing = draw(st.permutations(universe))
+    zs = [frozenset(draw(st.lists(st.sampled_from(sorted(set(universe) - {c})), unique=True))
+                    if k > 1 else ()) for c in missing]
+    return SupportConstraint(n, k, tuple(zs))
+
+
+def full_scan_completion(sc):
+    """The completion's greedy order on full-scan matchings, a rejected
+    candidate undone by restoring copies of the matchings it touched; None
+    where the condition fails."""
+    adj = constraints._support(sc)
+    matchings = [_full_scan_matching(adj, mask, 0) for mask in sc.masks()]
+    if any(len(row_of) < len(z) for (row_of, _), z in zip(matchings, sc.zero_sets)):
+        return None
+    zs = [set(z) for z in sc.zero_sets]
+    for i in range(sc.k):
+        for j in range(1, sc.n + 1):
+            if len(zs[i]) == sc.k - 1:
+                break
+            if j in zs[i]:
+                continue
+            c = j - 1
+            adj[c] &= ~(1 << i)
+            touched = [r for r, (row_of, _) in enumerate(matchings) if row_of.get(c) == i]
+            saved = [(r, dict(matchings[r][0]), dict(matchings[r][1])) for r in touched + [i]]
+            for r in touched:
+                row_of, col_of = matchings[r]
+                del row_of[c], col_of[i]
+            if all(constraints._augment(adj, *matchings[r], c, 0) for r in touched + [i]):
+                zs[i].add(j)
+                continue
+            adj[c] |= 1 << i
+            for r, row_of, col_of in saved:
+                matchings[r] = (row_of, col_of)
+    return SupportConstraint(sc.n, sc.k, tuple(zs))
+
+
+@_property_settings
+@given(st.one_of(thinned_equality_systems(), random_patterns(below_k=True)))
+def test_completion_matches_full_scan_completion(sc):
+    # each candidate asks only whether complete matchings still exist, which
+    # by Berge's lemma does not depend on the maximum matchings held
+    expected = full_scan_completion(sc)
+    assume(expected is not None)
     assert format_pattern(complete_zero_sets(sc)) == format_pattern(expected)
