@@ -59,7 +59,7 @@ class SupportConstraint:
         if self.n < self.k:
             raise ValueError(f"a full-rank {self.k} x {self.n} generator needs n >= k columns")
         for i, z in enumerate(self.zero_sets):
-            if any(not (1 <= j <= self.n) for j in z):
+            if z and (min(z) < 1 or max(z) > self.n):
                 raise ValueError(f"zero set {i + 1} leaves the column range [1, {self.n}]")
 
     def masks(self):
@@ -395,10 +395,10 @@ def parse_pattern(text: str, n: int) -> SupportConstraint:
             zero_sets.append(frozenset())
             continue
         try:
-            cols = frozenset(int(tok) for tok in line.split())
+            cols = frozenset(map(int, line.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if any(not (1 <= j <= n) for j in cols):
+        if cols and (min(cols) < 1 or max(cols) > n):
             raise ValueError(f"line {lineno}: column index outside [1, {n}]")
         zero_sets.append(cols)
     if not zero_sets:

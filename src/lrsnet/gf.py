@@ -22,6 +22,10 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 
 - order <= 2^16: ``mul``, ``inv``, ``pow`` and ``frobenius`` look up tables
   of gamma-powers, built at construction by the product routes below;
+- sum, odd p, order <= 2^16: ``add``, ``sub`` and ``neg`` by Zech
+  logarithms, a + b = gamma^(log a + zech[log b - log a]) with
+  zech[i] = log(1 + gamma^i) (oracle: ``_digitwise_mod_add``/``_sub``, the
+  digit loops of the larger fields); p = 2 adds by XOR;
 - product with an operand 1, past the tables: the other operand, with no
   arithmetic (monic columns, first norms, Newton steps);
 - product, p = 2: one carry-less pass over the integer encoding with an
@@ -233,6 +237,7 @@ class FieldTower:
 
         self._exp = None
         self._log = None
+        self._zech = None  # odd p only
         if self.order <= _SCALAR_TABLE_MAX:
             self._build_scalar_tables()
         self._np_tables = None
@@ -463,20 +468,44 @@ class FieldTower:
             out.append(int(v))
         return out
 
+    # With log tables, odd p adds by Zech logarithms: a + b = a (1 + b/a) =
+    # gamma^(log a + zech[log b - log a]), and -1 = gamma^((q^m - 1)/2).
     def add(self, a: int, b: int) -> int:
         if self._p2:
             return a ^ b
-        return _digitwise_mod_add(a, b, self.p, self._ndigits)
+        if self._zech is None:
+            return _digitwise_mod_add(a, b, self.p, self._ndigits)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        n, la = self.order - 1, self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
         if self._p2:
             return a
-        return _digitwise_mod_sub(0, a, self.p, self._ndigits)
+        if self._zech is None:
+            return _digitwise_mod_sub(0, a, self.p, self._ndigits)
+        if a == 0:
+            return 0
+        n = self.order - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
         if self._p2:
             return a ^ b
-        return _digitwise_mod_sub(a, b, self.p, self._ndigits)
+        if self._zech is None:
+            return _digitwise_mod_sub(a, b, self.p, self._ndigits)
+        if b == 0:
+            return a
+        n = self.order - 1
+        if a == 0:
+            return self._exp[(self._log[b] + n // 2) % n]
+        la = self._log[a]
+        z = self._zech[(self._log[b] + n // 2 - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -680,6 +709,13 @@ class FieldTower:
             log[v] = i
         self._exp = exp
         self._log = log
+        if not self._p2:
+            # 1 + v raises v's lowest base-p digit by one mod p; 1 + gamma^i = 0
+            # only at gamma^i = -1, i = (n - 1)/2
+            p = self.p
+            zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+            zech[(n - 1) // 2] = -1
+            self._zech = zech
 
     # ------------------------------------------------------------------
     # expansion over the ordered basis and base-field linear algebra

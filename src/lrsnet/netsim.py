@@ -279,43 +279,96 @@ class ChannelRealization:
     rank_A: int        # F_q-rank of A
 
 
-_RANDBELOW_TAIL = 24  # values left for which scalar draws beat one more bulk pass
+_SNAPSHOT_WORDS = 1 << 16  # words drawn between the states a `_WordStream` saves
 
 
-def _randbelow_array(rng, n, count):
-    """`[rng.randrange(n) for _ in range(count)]` as an int64 array, leaving
-    `rng` (a plain `random.Random`) in the same state; needs n < 2^32.
+class _WordStream:
+    """The 32-bit Mersenne Twister words of `rng`, a plain `random.Random`
+    (`SystemRandom` keeps no state to rewind), drawn in bulk and read in
+    order: `below(n, count)` returns what `count` calls of `rng.randrange(n)`
+    would, as an int64 array; needs n < 2^32.
 
-    CPython's `randrange(n)` takes one 32-bit Mersenne Twister word per try,
-    keeps its top `n.bit_length()` bits and tries again while they are >= n.
+    CPython's `randrange(n)` takes one word per try, keeps its top
+    `n.bit_length()` bits and tries again while they are >= n, and
     `getrandbits(32 * w)` returns the next w words, the first one least
-    significant.  Each word gives at most one value, so drawing as many words
-    as values are still missing never reads past the scalar loop's words."""
-    shift = 32 - n.bit_length()
-    out = np.empty(count, dtype=np.int64)
-    got = 0
-    while got < count:
-        need = count - got
-        if need <= _RANDBELOW_TAIL:
-            out[got:] = [rng.randrange(n) for _ in range(need)]
-            break
-        vals = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
-                             dtype="<u4") >> shift
-        vals = vals[vals < n]
-        out[got:got + vals.size] = vals
-        got += vals.size
-    return out
+    significant.  A stream draws more words than it reads, sized by the
+    acceptance rate n / 2^bit_length(n), and keeps only the words not yet
+    read.  `sync()` leaves `rng` where the scalar calls would have: if words
+    were drawn past those read, it restores the last state saved at or before
+    the read position and reads the words from there to it again.  A state
+    is saved before the first draw, and again before a draw once
+    `_SNAPSHOT_WORDS` words were drawn since the last, so a long rejection
+    loop replays few words.  With `rewind=False` no state is saved, for an
+    `rng` that nothing reads after the stream."""
 
+    def __init__(self, rng, rewind: bool = True):
+        self._rng = rng
+        self._rewind = rewind
+        self._saved = []  # (position, rng's state there), increasing
+        self._words = np.empty(0, dtype="<u4")  # the words from position _base on
+        self._base = 0
+        self._pos = 0  # words read
 
-def _rand_matrix(rng, rows, cols, q):
-    return _randbelow_array(rng, q, rows * cols).reshape(rows, cols)
+    def peek(self, n: int, count: int):
+        """The next `count` values below n, without reading them, and the
+        word position after each, for `seek`."""
+        if not count:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
+        k = n.bit_length()
+        vals, ends, start = [], [], self._pos
+        while count:
+            span = (count << k) // n + (count >> 2) + 8
+            short = start + span - self._base - self._words.size
+            if short > 0:
+                self._draw(short)
+            window = self._words[start - self._base:start + span - self._base] >> (32 - k)
+            ok = np.flatnonzero(window < n)[:count]
+            vals.append(window[ok])
+            ends.append(ok + (start + 1))
+            count -= ok.size
+            start += span
+        if len(vals) == 1:
+            return vals[0].astype(np.int64), ends[0]
+        return np.concatenate(vals).astype(np.int64), np.concatenate(ends)
+
+    def seek(self, pos: int):
+        """Mark the words before position `pos` read."""
+        self._pos = int(pos)
+
+    def below(self, n: int, count: int) -> np.ndarray:
+        vals, ends = self.peek(n, count)
+        if count:
+            self.seek(ends[-1])
+        return vals
+
+    def _draw(self, w: int):
+        end = self._base + self._words.size  # the position of rng's state
+        if self._rewind and (not self._saved or end - self._saved[-1][0] >= _SNAPSHOT_WORDS):
+            self._saved.append((end, self._rng.getstate()))
+            while self._saved[1:] and self._saved[1][0] <= self._pos:
+                del self._saved[0]
+        new = np.frombuffer(self._rng.getrandbits(32 * w).to_bytes(4 * w, "little"),
+                            dtype="<u4")
+        self._words = np.concatenate((self._words[self._pos - self._base:], new))
+        self._base = self._pos
+
+    def sync(self):
+        if self._base + self._words.size > self._pos:
+            at, state = [s for s in self._saved if s[0] <= self._pos][-1]
+            self._rng.setstate(state)
+            # in chunks: getrandbits takes a C int of bits
+            for done in range(at, self._pos, _SNAPSHOT_WORDS):
+                self._rng.getrandbits(32 * min(_SNAPSHOT_WORDS, self._pos - done))
 
 
 def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
                    seed: int = 0) -> ChannelRealization:
     """Transfer matrix with at most rho deleted pivots and a factored error of
-    rank at most t; deterministic per seed.  Entries are drawn in bulk from
-    the words `randrange(q)` would read, so q < 2^32."""
+    rank at most t; deterministic per seed.  After the erasures, every entry
+    and the error rank come from one `_WordStream` on the seeded stream, as
+    the `randrange` calls of a scalar loop would draw them (`randint(0, t)`
+    is `randrange(t + 1)`), so q < 2^32.  Nothing reads the stream after
+    it, so it is never rewound."""
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
     if q >= 1 << 32:
@@ -327,16 +380,18 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     rng = random.Random(seed)
     rho_eff = rng.randint(max(0, n - N), rho)
     deleted = rng.sample(range(n), rho_eff)
+    words = _WordStream(rng, rewind=False)
     while True:
-        A = _rand_matrix(rng, N, n, q)
+        A = words.below(q, N * n).reshape(N, n)
         A[:, deleted] = 0
         rank_A = tower.base_matrix_rank(A)
         if rank_A == n - rho_eff:
             break
-    t_eff = rng.randint(0, t)
+    t_eff = int(words.below(t + 1, 1)[0])
     if t_eff:
-        U = _rand_matrix(rng, N, t_eff, q)
-        V = _rand_matrix(rng, t_eff, M, q)
+        UV = words.below(q, (N + M) * t_eff)
+        U = UV[:N * t_eff].reshape(N, t_eff)
+        V = UV[N * t_eff:].reshape(t_eff, M)
         E = tower._base_product(U, V)  # the draws lie in 0 .. q - 1
     else:
         E = np.zeros((N, M), dtype=np.int64)
@@ -421,15 +476,32 @@ def puncture(part: OrderedPartition, erased):
     return OrderedPartition(sizes), keep
 
 
+_BATCH_MAX = 4096  # candidate blocks per batch of `random_error_of_weight`
+
+
+def _first_batch(q: int, m: int, s: int, r: int) -> int:
+    """Twice the expected number of candidate blocks of s elements of F_{q^m}
+    up to the first of rank r, within [8, _BATCH_MAX]: a share
+    prod_{i<r} (q^m - q^i)(q^s - q^i)/(q^r - q^i) of the q^(m s) blocks has
+    rank r over F_q."""
+    num = den = 1
+    for i in range(r):
+        num *= (q ** m - q ** i) * (q ** s - q ** i)
+        den *= q ** r - q ** i
+    return min(_BATCH_MAX, max(8, 2 * den * q ** (m * s) // num))
+
+
 def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
                            weight: int, rng) -> list:
     """Error vector of exact sum-rank weight, built block by block.
 
-    `rng` must be a plain `random.Random` (`SystemRandom` keeps no state to
-    rewind).  The blocks are drawn by rejection in growing batches, ranked in
-    one `sumrank.block_ranks` call each, and the first block of the wanted
-    rank is kept.  The stream is rewound to where drawing candidates one at a
-    time would have stopped, so the result and the state left in `rng` are
+    `rng` must be a plain `random.Random`.  After the per-block ranks are
+    chosen, the candidate blocks come from one `_WordStream` on `rng`: each
+    batch is peeked at and ranked in one `sumrank.block_ranks` call, and its
+    words are read up to the end of the first block of the wanted rank.
+    The first batch of a block is `_first_batch`, and each further one four
+    times the last.  One `sync` at the end leaves `rng` where drawing
+    candidates one at a time would have, so the result and the state are
     those of that scalar loop.  Its guard is `numpy_tables`, fetched first."""
     red = tower.numpy_tables()[2]
     capacities = [min(nl, tower.m) for nl in part.parts]
@@ -443,22 +515,24 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
             target[l] += 1
             left -= 1
     err = [0] * part.n
+    words = _WordStream(rng)
     for l, (a, b) in enumerate(part.slices()):
         if target[l] == 0:
             continue
-        s, batch = b - a, 8
+        s = b - a
+        batch = _first_batch(tower.q, tower.m, s, target[l])
         while True:
-            state = rng.getstate()
-            blocks = _randbelow_array(rng, tower.order, batch * s).reshape(batch, s)
+            vals, ends = words.peek(tower.order, batch * s)
+            blocks = vals.reshape(batch, s)
             hits = np.flatnonzero(sumrank.block_ranks(red, blocks.T) == target[l])
             if hits.size:
                 j = int(hits[0])
-                if j < batch - 1:
-                    rng.setstate(state)
-                    _randbelow_array(rng, tower.order, (j + 1) * s)
+                words.seek(ends[(j + 1) * s - 1])
                 err[a:b] = blocks[j].tolist()
                 break
-            batch = min(4 * batch, 4096)
+            words.seek(ends[-1])
+            batch = min(4 * batch, _BATCH_MAX)
+    words.sync()
     return err
 
 

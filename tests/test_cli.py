@@ -97,6 +97,18 @@ def test_check_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("col", ["0", "5"])
+def test_check_column_past_the_range_exit_code(col, tmp_path, capsys):
+    # column 0 and column n + 1 both leave [1, n]
+    path = tmp_path / "wide.pattern"
+    path.write_text(f"2\n1 {col}\n")
+    rc = main(["check", str(path), "--n", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "line 2: column index outside [1, 4]" in captured.err
+
+
 def test_construct_micro_pattern(tmp_path, capsys):
     path = tmp_path / "micro.pattern"
     path.write_text("2\n1\n")

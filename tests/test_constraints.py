@@ -275,6 +275,12 @@ def test_pattern_parse_errors():
         parse_pattern("9\n", 4)
 
 
+@pytest.mark.parametrize("col", [0, 5])
+def test_zero_set_past_the_column_range(col):
+    with pytest.raises(ValueError, match=r"zero set 2 leaves the column range \[1, 4\]"):
+        SupportConstraint(4, 2, ({2}, {1, col}))
+
+
 def test_all_empty_k25_holds():
     sc = SupportConstraint(30, 25, (frozenset(),) * 25)
     assert check_condition(sc) == ConditionReport(True, None, False, 25)

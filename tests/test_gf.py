@@ -314,6 +314,26 @@ def test_numpy_tables_consistency():
             assert mul[a, b] == F9.mul(a, b)
 
 
+# odd-p fields with log tables, up to F_{3^10}: add, sub and neg run on Zech
+# logarithms there, and the digit loops of the larger fields are their oracle
+@pytest.mark.parametrize("pem", [(3, 1, 1), (3, 2, 1), (3, 1, 3), (3, 1, 4), (3, 2, 2),
+                                 (5, 1, 3), (7, 1, 3), (3, 1, 10)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zech_add_sub_neg_match_digit_loops(pem, data):
+    tower = make_field(*pem)
+    assert tower._zech is not None
+    p, nd = tower.p, tower.e * tower.m
+    a = data.draw(st.integers(0, tower.order - 1))
+    minus_a = gf._digitwise_mod_sub(0, a, p, nd)
+    # b = a and b = -a make a difference and a sum zero
+    b = data.draw(st.one_of(st.integers(0, tower.order - 1), st.sampled_from([a, minus_a, 0])))
+    assert tower.neg(a) == minus_a
+    for x, y in ((a, b), (b, a), (a, 0), (0, a)):
+        assert tower.add(x, y) == gf._digitwise_mod_add(x, y, p, nd)
+        assert tower.sub(x, y) == gf._digitwise_mod_sub(x, y, p, nd)
+
+
 @pytest.mark.parametrize("pem", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 1)],
                          ids=["F2", "F3", "F4", "F5", "F9"])
 def test_base_numpy_tables_match_scalar_ops(pem):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrsnet import gf
+from lrsnet import gf, netsim
 from lrsnet.constraints import cover_dimension, derive_zero_sets
 from lrsnet.construct import verify_support
 from lrsnet.gf import _eliminate, make_field, mat_mul, mat_rank, prime_power, vec_mat
@@ -18,7 +18,7 @@ from lrsnet.netsim import (
     ChannelRealization,
     DesignResult,
     NetworkInstance,
-    _randbelow_array,
+    _WordStream,
     audit_weights,
     build_distributed_code,
     design_lengths,
@@ -518,15 +518,76 @@ def test_puncture_and_exact_weight_errors():
             assert sum_rank_weight(F9, err, part) == w
 
 
+BELOW_N = st.sampled_from([1, 2, 3, 4, 5, 9, 81, 511, 2**31 - 1, 2**32 - 1])
+
+
 @settings(max_examples=80, deadline=None)
-@given(n=st.sampled_from([1, 2, 3, 4, 5, 9, 81, 511, 2**31 - 1, 2**32 - 1]),
-       count=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
-def test_randbelow_array_matches_randrange(n, count, seed):
+@given(calls=st.lists(st.tuples(BELOW_N, st.integers(0, 2000)), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_word_stream_matches_randrange(calls, seed):
     bulk, scalar = random.Random(seed), random.Random(seed)
-    got = _randbelow_array(bulk, n, count)
-    assert got.dtype == np.int64
-    assert got.tolist() == [scalar.randrange(n) for _ in range(count)]
+    words = _WordStream(bulk)
+    for n, count in calls:
+        got = words.below(n, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar.randrange(n) for _ in range(count)]
+    words.sync()
     assert bulk.random() == scalar.random()
+
+
+def test_word_stream_rewinds_from_a_later_saved_state():
+    # each call draws past _SNAPSHOT_WORDS words, so sync restores a state
+    # saved after the first draw and replays only the words read since
+    bulk, scalar = random.Random(3), random.Random(3)
+    words = _WordStream(bulk)
+    for n in (5, 81, 5):
+        count = netsim._SNAPSHOT_WORDS
+        assert words.below(n, count).tolist() == [scalar.randrange(n) for _ in range(count)]
+    words.peek(81, 1000)
+    assert words._saved[0][0] > 0
+    words.sync()
+    assert bulk.random() == scalar.random()
+
+
+def _scalar_sample_channel(n, N, M, t, rho, q, seed):
+    """Oracle of `sample_channel`: one `randrange` call per entry, the rank
+    by the list elimination and the error product by scalar loops."""
+    tower = make_field(*prime_power(q))
+    rng = random.Random(seed)
+    rho_eff = rng.randint(max(0, n - N), rho)
+    deleted = rng.sample(range(n), rho_eff)
+    while True:
+        A = [[rng.randrange(q) for _ in range(n)] for _ in range(N)]
+        for row in A:
+            for j in deleted:
+                row[j] = 0
+        rows = [list(r) for r in A]
+        rank_A = len(_eliminate(rows, n, tower.base_inv, tower.base_mul, tower.base_sub)[0])
+        if rank_A == n - rho_eff:
+            break
+    t_eff = rng.randint(0, t)
+    U = [[rng.randrange(q) for _ in range(t_eff)] for _ in range(N)]
+    V = [[rng.randrange(q) for _ in range(M)] for _ in range(t_eff)]
+    E = [[0] * M for _ in range(N)]
+    for i in range(N):
+        for j in range(M):
+            for u, v in zip(U[i], (V[r][j] for r in range(t_eff))):
+                E[i][j] = tower.base_add(E[i][j], tower.base_mul(u, v))
+    return A, E, rank_A
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9, 2**31 - 1]), n=st.integers(1, 6),
+       extra=st.integers(0, 3), M=st.integers(1, 6), t=st.integers(0, 3),
+       rho=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_sample_channel_matches_scalar_draws(q, n, extra, M, t, rho, seed):
+    rho = min(rho, n)
+    N = max(n - rho, 1) + extra
+    ch = sample_channel(n, N, M, t, rho, q, seed=seed)
+    A, E, rank_A = _scalar_sample_channel(n, N, M, t, rho, q, seed)
+    assert ch.A.tolist() == A
+    assert ch.E.tolist() == E
+    assert ch.rank_A == rank_A
 
 
 def _scalar_error_of_weight(tower, part, weight, rng):
@@ -649,7 +710,6 @@ def test_end_to_end_trial_refuses_a_codeword_outside_the_subcode(monkeypatch):
     # a k = 2 subcode of a cover_dim = 3 code: an error that puts the word
     # within radius 1 of c + d, d = (0, 0, 1) T G_LRS, decodes to the
     # covering message (msg, 1), which the trial must count as a failure
-    from lrsnet import netsim
     from lrsnet.constraints import SupportConstraint
     from lrsnet.construct import subcode_generator
     from lrsnet.lrs import decode, generator_matrix
