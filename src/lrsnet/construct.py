@@ -30,6 +30,9 @@ from .lrs import LrsCode
 from .skewpoly import minimal_polynomials
 from .sumrank import OrderedPartition
 
+# Multiplier samples `synthesize` tries before it raises SynthesisError.
+_BUDGET = 64
+
 
 class SynthesisError(RuntimeError):
     """Multiplier sampling budget exhausted."""
@@ -116,10 +119,11 @@ def _random_multipliers(tower: FieldTower, part: OrderedPartition, rng) -> tuple
 
 
 def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
-               sc: SupportConstraint, seed: int = 0, budget: int = 64) -> ConstrainedCode:
+               sc: SupportConstraint, seed: int = 0) -> ConstrainedCode:
     """Search multipliers until the row transform is invertible and the
-    product generator matches the zero pattern exactly; a pattern that
-    violates the condition raises ConditionViolation."""
+    product generator matches the zero pattern exactly, raising
+    SynthesisError after `_BUDGET` attempts; a pattern that violates the
+    condition raises ConditionViolation."""
     if sc.n != part.n or sc.k != k:
         raise ValueError("constraint shape does not match (partition, k)")
     completed = complete_zero_sets(sc)
@@ -133,7 +137,7 @@ def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
     reps = lrs.default_representatives(tower, part.ell)
     rng = random.Random(seed)
     last_reason = "no attempt made"
-    for attempt in range(budget):
+    for attempt in range(_BUDGET):
         if attempt == 0:
             multipliers = lrs.default_multipliers(tower, part)
         else:
@@ -148,11 +152,11 @@ def synthesize(tower: FieldTower, part: OrderedPartition, k: int,
             transform=tuple(tuple(r) for r in T),
             matrix=tuple(tuple(r) for r in G),
             attempts=attempt + 1)
-    raise SynthesisError(budget, last_reason)
+    raise SynthesisError(_BUDGET, last_reason)
 
 
 def subcode_generator(tower: FieldTower, part: OrderedPartition, k: int,
-                      sc: SupportConstraint, seed: int = 0, budget: int = 64) -> ConstrainedCode:
+                      sc: SupportConstraint, seed: int = 0) -> ConstrainedCode:
     """Meet an infeasible pattern with the first k rows of a covering code.
 
     Rows k+1..cover_dim get empty zero sets, which always satisfy the
@@ -164,7 +168,7 @@ def subcode_generator(tower: FieldTower, part: OrderedPartition, k: int,
         raise ValueError(f"cover dimension {ktil} exceeds the length {sc.n}; infeasible")
     padded = SupportConstraint(
         sc.n, ktil, sc.zero_sets + (frozenset(),) * (ktil - k))
-    full = synthesize(tower, part, ktil, padded, seed=seed, budget=budget)
+    full = synthesize(tower, part, ktil, padded, seed=seed)
     return ConstrainedCode(
         code=full.code,
         sc=SupportConstraint(sc.n, k, full.sc.zero_sets[:k]),

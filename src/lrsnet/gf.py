@@ -62,9 +62,12 @@ oracle of both and the kernel of the F_{q^m} matrices (``mat_rank``,
 order add, mul and reduction tables of brute force once per field, and is
 the one check of their guard.
 
-``_qpoly_mulmod``, the schoolbook product in F_q[y], serves the modulus search
+F_q[y] has one long division, ``_qpoly_divmod``.  Its remainder reduces the
+schoolbook product ``_qpoly_mulmod``, which serves the modulus search
 (``_qpoly_powmod``) and the powers of a primitive element of F_q behind the
-base-field tables, and is both packed products' oracle.
+base-field tables and is both packed products' oracle, and it gives the
+fold rows x^r y^i mod (g, f) of the odd-p slot product; its quotients and
+remainders drive Ben-Or's gcd and ``inv`` past the tables.
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8 and is the oracle of the norm comparison that
@@ -175,8 +178,10 @@ def factorize(n: int) -> dict:
     prime factor: n is tested for primality at the start and after each
     division, and the loop stops once the cofactor left is prime.  That test
     is `_certified_prime`, so a ValueError stands for a factorization whose
-    last factor would rest on a probable prime, as 2^89 - 1 does.  factorize(5^34 - 1)
-    takes ~2.3 s on a 2-vCPU Xeon."""
+    last factor would rest on a probable prime, as 2^89 - 1 does, and for
+    n < 1, which has no factorization."""
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1; got {n}")
     factors = {}
     for p in (2, 3):
         while n % p == 0:
@@ -205,7 +210,8 @@ class FieldTower:
     """
 
     def __init__(self, p: int, e: int, m: int, base_modulus=None, top_modulus=None):
-        if not is_prime(p):
+        # certified, so a strong pseudoprime to every base is refused
+        if not _certified_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1 or m < 1:
             raise ValueError("extension degrees must be >= 1")
@@ -264,11 +270,10 @@ class FieldTower:
         if q > _NUMPY_TABLE_MAX:
             raise ValueError(f"base field size q = {q} beyond supported table range")
         fp = make_field(p)
-        one = tuple(_int_digits(1, p, e))
         for cand in range(2, q):
             w = tuple(_int_digits(cand, p, e))
             powers, x = [1], w
-            while x != one:
+            while x != (1,):  # remainders are trimmed
                 powers.append(_digits_int(x, p))
                 x = fp._qpoly_mulmod(x, w, self.base_modulus)
             if len(powers) == q - 1:
@@ -372,7 +377,7 @@ class FieldTower:
             self._order_factors = factorize(self.order - 1) if self.order > 2 else {}
         y = (0, 1)
         for r in self._order_factors:
-            if _qpoly_trim(self._qpoly_powmod(y, (self.order - 1) // r, f)) == (1,):
+            if self._qpoly_powmod(y, (self.order - 1) // r, f) == (1,):
                 return False
         return True
 
@@ -397,18 +402,7 @@ class FieldTower:
         return res
 
     def _qpoly_mulmod(self, a, b, f):
-        return tuple(self._qpoly_reduce(self._qpoly_mul(a, b), f))
-
-    def _qpoly_reduce(self, res, f):
-        d = len(f) - 1
-        for i in range(len(res) - 1, d - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(d):
-                    if f[j]:
-                        res[i - d + j] = self.base_sub(res[i - d + j], self.base_mul(c, f[j]))
-        return res[:d] + [0] * max(0, d - len(res))
+        return self._qpoly_divmod(self._qpoly_mul(a, b), f)[1]
 
     def _qpoly_powmod(self, a, n, f):
         out = (1,)
@@ -421,31 +415,32 @@ class FieldTower:
         return out
 
     def _qpoly_divmod(self, a, b):
-        a = list(_qpoly_trim(a))
+        """(quotient, remainder) of a by b != 0, both trimmed."""
         b = _qpoly_trim(b)
         if not b:
             raise ZeroDivisionError
         sub, mul = self.base_sub, self.base_mul
         inv_lead = self.base_inv(b[-1])
-        q = [0] * max(0, len(a) - len(b) + 1)
         top = len(b) - 1
-        while len(a) > top:
-            # the leading term cancels: pop it, then subtract c y^k b below it
-            c = mul(a.pop(), inv_lead)
-            k = len(a) - top
-            q[k] = c
-            for j in range(top):
-                if b[j]:
-                    a[k + j] = sub(a[k + j], mul(c, b[j]))
-            while a and a[-1] == 0:
-                a.pop()
-        return tuple(q), tuple(a)
+        terms = [(j, x) for j, x in enumerate(b[:top]) if x]  # b's nonzero low terms
+        a = list(a)
+        q = [0] * max(0, len(a) - top)
+        for k in range(len(a) - top - 1, -1, -1):
+            # clear the term of y^(k + top) by subtracting c y^k b; a monic b,
+            # as every modulus is, needs no scaling
+            c = a[k + top]
+            if c:
+                if inv_lead != 1:
+                    c = mul(c, inv_lead)
+                q[k] = c
+                for j, x in terms:
+                    a[k + j] = sub(a[k + j], mul(c, x))
+        return _qpoly_trim(q), _qpoly_trim(a[:top])
 
     def _qpoly_gcd(self, a, b):
         a, b = _qpoly_trim(a), _qpoly_trim(b)
         while b:
             a, b = b, self._qpoly_divmod(a, b)[1]
-            b = _qpoly_trim(b)
         if a:
             inv = self.base_inv(a[-1])
             a = tuple(self.base_mul(c, inv) for c in a)
@@ -662,7 +657,7 @@ class FieldTower:
         for j in folded:
             i, r = divmod(j, stride)
             c = self.base_mul(p ** (r // 2), p ** (r - r // 2))
-            row = _digits_int(self._qpoly_reduce([0] * i + [c], self.top_modulus), q)
+            row = _digits_int(self._qpoly_divmod([0] * i + [c], self.top_modulus)[1], q)
             self._fold_rows.append((width * (j - prev), self._spread(row)))
             prev = j
 
@@ -1015,11 +1010,10 @@ def _cached_field(p, e, m):
     return FieldTower(p, e, m)
 
 
-def make_field(p: int, e: int = 1, m: int = 1, base_modulus=None, top_modulus=None) -> FieldTower:
-    """Build (or fetch the cached default) tower F_p < F_{p^e} < F_{(p^e)^m}."""
-    if base_modulus is None and top_modulus is None:
-        return _cached_field(p, e, m)
-    return FieldTower(p, e, m, base_modulus=base_modulus, top_modulus=top_modulus)
+def make_field(p: int, e: int = 1, m: int = 1) -> FieldTower:
+    """The cached default tower F_p < F_{p^e} < F_{(p^e)^m}; `FieldTower`
+    takes explicit moduli."""
+    return _cached_field(p, e, m)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import gf, skewpoly
 from .gf import FieldTower
 from .skewpoly import SkewPoly
-from .sumrank import OrderedPartition
+from .sumrank import OrderedPartition, sum_rank_weight
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ def decode(code: LrsCode, y, columns=None, radius=None):
     error has weight at most radius, every nonzero solution has R = L f for
     the sent message f, so f = `skewpoly.left_div`(R, L).  The result is
     certified: it is returned only if the division is exact, deg f < k and
-    the error y - encode(f) on the kept columns has weight at most radius.
+    the error y - encode(f) on the kept columns has `sum_rank_weight` at
+    most radius over their blocks.
     Exact division already bounds that weight by deg L, since the error
     lies in the kernel of L; the check repeats it on the codeword itself.
     """
@@ -235,9 +236,6 @@ def decode(code: LrsCode, y, columns=None, radius=None):
     msg = f.coeffs + (0,) * (k - len(f.coeffs))
     # the first k rows of rhs generate the punctured code
     cw = gf.vec_mat(t, msg, rhs[:k])
-    weight = start = 0
-    for blk in ys:
-        stop = start + len(blk)
-        weight += t.rank_over_base([t.sub(v, c) for v, c in zip(blk, cw[start:stop])])
-        start = stop
-    return msg if weight <= tau else None
+    err = [t.sub(v, c) for v, c in zip((v for blk in ys for v in blk), cw)]
+    kept = OrderedPartition(tuple(len(blk) for blk in ys))
+    return msg if sum_rank_weight(t, err, kept) <= tau else None

@@ -293,18 +293,18 @@ class _WordStream:
     `getrandbits(32 * w)` returns the next w words, the first one least
     significant.  A stream draws more words than it reads, sized by the
     acceptance rate n / 2^bit_length(n), and keeps only the words not yet
-    read.  `sync()` leaves `rng` where the scalar calls would have: if words
-    were drawn past those read, it restores the last state saved at or before
-    the read position and reads the words from there to it again.  A state
-    is saved before the first draw, and again before a draw once
-    `_SNAPSHOT_WORDS` words were drawn since the last, so a long rejection
-    loop replays few words.  With `rewind=False` no state is saved, for an
-    `rng` that nothing reads after the stream."""
+    read.  `sync(start)` leaves `rng` where the scalar calls would have,
+    given `start`, the `rng.getstate()` that the caller took when it made
+    the stream: if words were drawn past those read, it restores the last
+    state at or before the read position, `start` or one the stream saved,
+    and reads the words from there to it again.  The stream saves a state
+    before a draw once `_SNAPSHOT_WORDS` words were drawn since position 0
+    or the last saved state, so a long rejection loop replays few words,
+    and a caller that never syncs takes no state at its start."""
 
-    def __init__(self, rng, rewind: bool = True):
+    def __init__(self, rng):
         self._rng = rng
-        self._rewind = rewind
-        self._saved = []  # (position, rng's state there), increasing
+        self._saved = []  # (position > 0, rng's state there), increasing
         self._words = np.empty(0, dtype="<u4")  # the words from position _base on
         self._base = 0
         self._pos = 0  # words read
@@ -343,7 +343,7 @@ class _WordStream:
 
     def _draw(self, w: int):
         end = self._base + self._words.size  # the position of rng's state
-        if self._rewind and (not self._saved or end - self._saved[-1][0] >= _SNAPSHOT_WORDS):
+        if end - (self._saved[-1][0] if self._saved else 0) >= _SNAPSHOT_WORDS:
             self._saved.append((end, self._rng.getstate()))
             while self._saved[1:] and self._saved[1][0] <= self._pos:
                 del self._saved[0]
@@ -352,9 +352,9 @@ class _WordStream:
         self._words = np.concatenate((self._words[self._pos - self._base:], new))
         self._base = self._pos
 
-    def sync(self):
+    def sync(self, start):
         if self._base + self._words.size > self._pos:
-            at, state = [s for s in self._saved if s[0] <= self._pos][-1]
+            at, state = ([(0, start)] + [s for s in self._saved if s[0] <= self._pos])[-1]
             self._rng.setstate(state)
             # in chunks: getrandbits takes a C int of bits
             for done in range(at, self._pos, _SNAPSHOT_WORDS):
@@ -367,8 +367,8 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     rank at most t; deterministic per seed.  After the erasures, every entry
     and the error rank come from one `_WordStream` on the seeded stream, as
     the `randrange` calls of a scalar loop would draw them (`randint(0, t)`
-    is `randrange(t + 1)`), so q < 2^32.  Nothing reads the stream after
-    it, so it is never rewound."""
+    is `randrange(t + 1)`), so q < 2^32.  Nothing reads the generator after
+    the stream, so it is never synced."""
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
     if q >= 1 << 32:
@@ -380,7 +380,7 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     rng = random.Random(seed)
     rho_eff = rng.randint(max(0, n - N), rho)
     deleted = rng.sample(range(n), rho_eff)
-    words = _WordStream(rng, rewind=False)
+    words = _WordStream(rng)
     while True:
         A = words.below(q, N * n).reshape(N, n)
         A[:, deleted] = 0
@@ -515,6 +515,7 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
             target[l] += 1
             left -= 1
     err = [0] * part.n
+    start = rng.getstate()  # where `sync` rewinds to
     words = _WordStream(rng)
     for l, (a, b) in enumerate(part.slices()):
         if target[l] == 0:
@@ -532,7 +533,7 @@ def random_error_of_weight(tower: FieldTower, part: OrderedPartition,
                 break
             words.seek(ends[-1])
             batch = min(4 * batch, _BATCH_MAX)
-    words.sync()
+    words.sync(start)
     return err
 
 

@@ -107,7 +107,7 @@ def test_criterion_4_msrd_synthesis_property():
     for trial in range(20):
         k = rng.choice((2, 3))
         sc = _random_constraint(rng, k, 6, want_violating=False)
-        cc = synthesize(F81, part, k, sc, seed=trial, budget=64)
+        cc = synthesize(F81, part, k, sc, seed=trial)
         assert cc.attempts <= 64
         d = min_distance_bruteforce(F81, [list(r) for r in cc.matrix], part)
         assert d == 6 - k + 1

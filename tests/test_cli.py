@@ -730,6 +730,12 @@ def _dropped_zero(code):
     code["zero_sets"][0] = code["zero_sets"][0][1:]
 
 
+def _pseudoprime_field(code):
+    # a strong pseudoprime to every Miller-Rabin base of `is_prime`
+    p = 3317044064679887385961981
+    code["field"] = {"p": p, "e": 1, "m": 1, "base_modulus": [0, 1], "top_modulus": [p - 3, 1]}
+
+
 @pytest.mark.parametrize("tamper,message", [
     (lambda code: code.update(field="x"), '"field"'),
     (lambda code: code.pop("multipliers"), '"multipliers"'),
@@ -739,8 +745,9 @@ def _dropped_zero(code):
     (_short_matrix, "9 x 23"),
     (_outside_field, "outside"),
     (_dropped_zero, "zero sets"),
+    (_pseudoprime_field, "deterministic"),
 ], ids=["field-str", "no-multipliers", "k-str", "nonzero-in-zero", "singular-transform",
-        "short-matrix", "outside-field", "dropped-zero"])
+        "short-matrix", "outside-field", "dropped-zero", "pseudoprime-field"])
 def test_simulate_rejects_tampered_code(tamper, message, toy_built_design, tmp_path, capsys):
     doc = copy.deepcopy(toy_built_design)
     tamper(doc["code"])

@@ -3,12 +3,14 @@ and multiplication matrices of skew polynomials as an oracle of skew_mul."""
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lrsnet import gf
 from lrsnet.constraints import (
     ConditionViolation,
     SupportConstraint,
@@ -277,6 +279,16 @@ def test_serialization_roundtrip():
     assert to_json(again) == text
 
 
+@pytest.mark.parametrize("p", [gf._MR_DETERMINISTIC_BOUND, 2 ** 89 - 1],
+                         ids=["strong-pseudoprime", "2^89-1"])
+def test_from_json_refuses_p_past_the_deterministic_range(p):
+    # a field over a p that `is_prime` only calls probably prime fails the load
+    doc = json.loads(to_json(synthesize(F9, OrderedPartition((2, 2)), 2, MICRO_SC, seed=0)))
+    doc["field"] = {"p": p, "e": 1, "m": 1, "base_modulus": [0, 1], "top_modulus": [p - 3, 1]}
+    with pytest.raises(ValueError, match="deterministic"):
+        from_json(json.dumps(doc))
+
+
 def test_serialization_roundtrip_of_true_subcode(monkeypatch):
     # k = 2 rows of a cover_dim = 3 code: loading re-checks them against the
     # first k rows of T * G_LRS and multiplies only those rows of T
@@ -295,10 +307,11 @@ def test_serialization_roundtrip_of_true_subcode(monkeypatch):
     assert (again.matrix, again.transform, again.sc) == (cc.matrix, cc.transform, cc.sc)
 
 
-def test_synthesis_attempt_counter_advances():
+def test_synthesis_attempt_counter_advances(monkeypatch):
     # force failures by shrinking the budget to zero
+    monkeypatch.setattr("lrsnet.construct._BUDGET", 0)
     with pytest.raises(SynthesisError):
-        synthesize(F9, OrderedPartition((2, 2)), 2, MICRO_SC, seed=0, budget=0)
+        synthesize(F9, OrderedPartition((2, 2)), 2, MICRO_SC, seed=0)
 
 
 def test_synthesis_over_extension_base_field():

@@ -117,6 +117,16 @@ def test_non_prime_p_rejected():
         FieldTower(4, 1, 2)
 
 
+@pytest.mark.parametrize("p", [gf._MR_DETERMINISTIC_BOUND, 2 ** 89 - 1],
+                         ids=["strong-pseudoprime", "2^89-1"])
+def test_p_past_the_deterministic_range_rejected(p):
+    # the bound is 1287836182261 * 2575672364521, a strong pseudoprime to every
+    # base `is_prime` tries; 2^89 - 1 is prime, but those bases only say probably
+    assert gf.is_prime(p)
+    with pytest.raises(ValueError, match="deterministic"):
+        FieldTower(p, 1, 1)
+
+
 def test_field_arithmetic_matches_f9_oracle():
     for av in range(9):
         for bv in range(9):
@@ -963,6 +973,23 @@ def _irreducible_by_trial_division(tower, f):
                    for k in range(1, (len(f) - 1) // 2 + 1) for g in _monic_candidates(tower, k))
 
 
+@pytest.mark.parametrize("pe", [(5, 1), (3, 2), (2, 2)], ids=["F5", "F9", "F4"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_qpoly_divmod_is_euclidean_division(pe, data):
+    # the one division of F_q[y]: a = quo b + rem with deg rem < deg b, both
+    # trimmed, checked by the schoolbook product and the coefficient difference
+    tower = make_field(*pe)
+    poly = st.lists(st.integers(0, tower.q - 1), max_size=9)
+    a, b = data.draw(poly), data.draw(poly.filter(any))
+    quo, rem = tower._qpoly_divmod(a, b)
+    assert quo == gf._qpoly_trim(quo) and rem == gf._qpoly_trim(rem)
+    assert len(rem) < len(gf._qpoly_trim(b))
+    assert gf._qpoly_trim(tower._qpoly_sub(tower._qpoly_sub(a, rem), tower._qpoly_mul(quo, b))) == ()
+    with pytest.raises(ZeroDivisionError):
+        tower._qpoly_divmod(a, [0] * len(b))
+
+
 @pytest.mark.parametrize("pe,d", [((2, 1), 4), ((2, 1), 6), ((2, 1), 8), ((3, 1), 4),
                                   ((3, 1), 5), ((3, 1), 6), ((2, 2), 4), ((5, 1), 3),
                                   ((5, 1), 4), ((7, 1), 3), ((2, 3), 3), ((3, 2), 3)], ids=str)
@@ -1021,6 +1048,12 @@ def test_factorize_of_field_orders(n):
     factors = gf.factorize(n)
     assert all(gf.is_prime(p) for p in factors)  # certain below the bound
     assert n == math.prod(p ** k for p, k in factors.items())
+
+
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorize_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        gf.factorize(n)
 
 
 def test_factorize_refuses_a_probable_prime_factor():

@@ -526,12 +526,13 @@ BELOW_N = st.sampled_from([1, 2, 3, 4, 5, 9, 81, 511, 2**31 - 1, 2**32 - 1])
        seed=st.integers(0, 2**32 - 1))
 def test_word_stream_matches_randrange(calls, seed):
     bulk, scalar = random.Random(seed), random.Random(seed)
+    start = bulk.getstate()
     words = _WordStream(bulk)
     for n, count in calls:
         got = words.below(n, count)
         assert got.dtype == np.int64
         assert got.tolist() == [scalar.randrange(n) for _ in range(count)]
-    words.sync()
+    words.sync(start)
     assert bulk.random() == scalar.random()
 
 
@@ -539,13 +540,14 @@ def test_word_stream_rewinds_from_a_later_saved_state():
     # each call draws past _SNAPSHOT_WORDS words, so sync restores a state
     # saved after the first draw and replays only the words read since
     bulk, scalar = random.Random(3), random.Random(3)
+    start = bulk.getstate()
     words = _WordStream(bulk)
     for n in (5, 81, 5):
         count = netsim._SNAPSHOT_WORDS
         assert words.below(n, count).tolist() == [scalar.randrange(n) for _ in range(count)]
     words.peek(81, 1000)
     assert words._saved[0][0] > 0
-    words.sync()
+    words.sync(start)
     assert bulk.random() == scalar.random()
 
 
