@@ -112,7 +112,7 @@ def _random_multipliers(tower: FieldTower, part: OrderedPartition, rng) -> tuple
     for nl in part.parts:
         while True:
             blk = tuple(tower.random_nonzero(rng) for _ in range(nl))
-            if tower.linearly_independent_over_base(blk):
+            if tower.rank_over_base(blk) == len(blk):
                 break
         out.append(blk)
     return tuple(out)

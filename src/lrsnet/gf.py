@@ -71,8 +71,9 @@ remainders drive Ben-Or's gcd and ``inv`` past the tables.
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8 and is the oracle of the norm comparison that
-``lrs.validate`` makes, one norm per representative; ``FieldTower.expand``
-serves the network decoding path that ``netsim`` keeps.
+``lrs.validate`` makes, one norm per representative; ``base_mat_mul`` is
+the checked public product of two F_q matrices, whose unchecked core
+``_base_product`` multiplies the draws of ``netsim.sample_channel``.
 """
 
 from __future__ import annotations
@@ -713,29 +714,23 @@ class FieldTower:
             self._zech = zech
 
     # ------------------------------------------------------------------
-    # expansion over the ordered basis and base-field linear algebra
-
-    def expand(self, vec) -> np.ndarray:
-        """m x n matrix over F_q whose column j holds the coordinates of vec[j]."""
-        cols = [self.digits(v) for v in self.check_elements(vec)]
-        return np.array(cols, dtype=np.int64).T.reshape(self.m, len(cols))
+    # base-field linear algebra
 
     def rank_over_base(self, vec) -> int:
-        """F_q-rank of a list of F_{q^m} elements, the rank of `expand(vec)`.
+        """F_q-rank of a list of F_{q^m} elements, the rank of the m x n
+        matrix whose column j holds `digits(vec[j])`; `ValueError` on an
+        entry that is not an element."""
+        return self._element_rank(self.check_elements(vec))
 
-        For p = 2 an encoding already is its packed vector of m base-field
-        digits, so the elements go to `_packed_rank` as they are; for odd p
-        their digit lists go to `_eliminate`, which beats numpy on a few
-        short rows.  `ValueError` on an entry that is not an element."""
-        vec = self.check_elements(vec)
+    def _element_rank(self, vec) -> int:
+        """`rank_over_base` of a list of checked elements.  For p = 2 an
+        encoding already is its packed vector of m base-field digits, so the
+        elements go to `_packed_rank` as they are; for odd p their digit
+        lists go to `_eliminate`, which beats numpy on a few short rows."""
         if self._p2:
             return self._packed_rank(vec, self.m)
         rows = [self.digits(v) for v in vec]
         return len(_eliminate(rows, self.m, self.base_inv, self.base_mul, self.base_sub)[0])
-
-    def linearly_independent_over_base(self, elems) -> bool:
-        elems = list(elems)
-        return self.rank_over_base(elems) == len(elems)
 
     def base_matrix_rank(self, mat) -> int:
         """Rank over F_q of a matrix of base-field encodings; `ValueError`
@@ -940,10 +935,7 @@ class FieldTower:
         return classes
 
     # ------------------------------------------------------------------
-    # iteration, randomness, serialization, numpy tables
-
-    def all_elements(self):
-        return range(self.order)
+    # randomness, serialization, numpy tables
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.order)

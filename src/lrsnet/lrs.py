@@ -99,7 +99,7 @@ def validate(code: LrsCode) -> list:
         for l, blk in enumerate(code.multipliers):
             if len(blk) != part.parts[l]:
                 problems.append(f"block {l + 1} needs {part.parts[l]} multipliers")
-            elif not t.linearly_independent_over_base(blk):
+            elif t.rank_over_base(blk) < len(blk):
                 problems.append(f"multipliers of block {l + 1} are dependent over F_q")
     return problems
 

@@ -2,13 +2,9 @@
 
 Pipeline: an integer program sizes the per-source encoded lengths, the access
 structure induces a generator zero pattern, a support-constrained LRS
-(sub)code is synthesized over a sufficient field, packets are lifted with
-identity headers, and a (t, rho)-adversary channel Y = A X + E is sampled
-and audited against the rank/sum-rank weight bounds.
-
-`lift` (identity headers) and `transmit` (Y = A X + E) have no production
-caller yet: they start the network decoding path (lift, channel, reduction,
-LRS decoding) that the audit does not run.
+(sub)code is synthesized over a sufficient field, and a (t, rho)-adversary
+channel Y = A X + E is sampled and audited against the rank/sum-rank weight
+bounds.
 """
 
 from __future__ import annotations
@@ -242,26 +238,7 @@ def build_distributed_code(inst: NetworkInstance, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# lifting and the adversarial channel
-
-
-def lift(blocks) -> np.ndarray:
-    """Stack per-source packets (0 .. I .. 0 | C^T) into the n x (n+m) matrix."""
-    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-    if not blocks:
-        raise ValueError("no source blocks")
-    m = blocks[0].shape[0]
-    if any(b.shape[0] != m for b in blocks):
-        raise ValueError("inconsistent expansion height across sources")
-    widths = [b.shape[1] for b in blocks]
-    n = sum(widths)
-    X = np.zeros((n, n + m), dtype=np.int64)
-    row = 0
-    for b, w in zip(blocks, widths):
-        X[row:row + w, row:row + w] = np.eye(w, dtype=np.int64)
-        X[row:row + w, n:] = b.T
-        row += w
-    return X
+# the adversarial channel
 
 
 @dataclass(frozen=True)
@@ -369,6 +346,8 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     the `randrange` calls of a scalar loop would draw them (`randint(0, t)`
     is `randrange(t + 1)`), so q < 2^32.  Nothing reads the generator after
     the stream, so it is never synced."""
+    if t < 0 or rho < 0:
+        raise ValueError(f"need t, rho >= 0; got t = {t}, rho = {rho}")
     if N < n - rho:
         raise ValueError("the sink must collect at least n - rho packets")
     if q >= 1 << 32:
@@ -396,16 +375,6 @@ def sample_channel(n: int, N: int, M: int, t: int, rho: int, q: int,
     else:
         E = np.zeros((N, M), dtype=np.int64)
     return ChannelRealization(A=A, E=E, tower=tower, t=t, rho=rho, rank_A=rank_A)
-
-
-def transmit(X, ch: ChannelRealization) -> np.ndarray:
-    """Network equation Y = A X + E over F_q, as the one product [A | I] [X; E];
-    `ValueError` on a packet entry outside 0 .. q - 1."""
-    X = np.asarray(X)
-    if ch.A.shape[1] != X.shape[0] or ch.E.shape != (len(ch.A), X.shape[1]):
-        raise ValueError("shape mismatch between packets and channel")
-    AI = np.hstack([ch.A, np.eye(len(ch.A), dtype=np.int64)])
-    return ch.tower.base_mat_mul(AI, np.vstack([X, ch.E]))
 
 
 def audit_weights(ch: ChannelRealization, row_partition: OrderedPartition,

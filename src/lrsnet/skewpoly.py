@@ -354,4 +354,4 @@ def roots_in_field(f: SkewPoly):
     t = f.tower
     if t.order > _ROOT_ENUM_MAX:
         raise ValueError(f"field order {t.order} exceeds root-enumeration guard")
-    return {a for a in t.all_elements() if evaluate(f, a) == 0}
+    return {a for a in range(t.order) if evaluate(f, a) == 0}

@@ -76,11 +76,12 @@ class OrderedPartition:
 
 
 def sum_rank_weight(tower: FieldTower, x, part: OrderedPartition) -> int:
-    """Sum of per-block F_q-ranks of a vector over F_{q^m}."""
+    """Sum of per-block F_q-ranks of a vector over F_{q^m}; each entry is
+    checked once, for the whole vector."""
     x = tower.check_elements(x, "vector entry")
     if len(x) != part.n:
         raise ValueError(f"vector length {len(x)} does not match partition n={part.n}")
-    return sum(tower.rank_over_base(x[a:b]) for a, b in part.slices())
+    return sum(tower._element_rank(x[a:b]) for a, b in part.slices())
 
 
 def sum_rank_weight_matrix(tower: FieldTower, mat, part: OrderedPartition) -> int:

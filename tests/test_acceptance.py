@@ -126,7 +126,7 @@ def test_criterion_5_necessity_singular_transforms():
             for nl in part.parts:
                 while True:
                     blk = tuple(F81.random_nonzero(rng) for _ in range(nl))
-                    if F81.linearly_independent_over_base(blk):
+                    if F81.rank_over_base(blk) == len(blk):
                         break
                 mults.append(blk)
             code = make_code(F81, part, k, reps=reps, multipliers=tuple(mults))
@@ -175,7 +175,7 @@ def _random_micro_code(tower, rng, parts):
     for nl in part.parts:
         while True:
             blk = tuple(tower.random_nonzero(rng) for _ in range(nl))
-            if tower.linearly_independent_over_base(blk):
+            if tower.rank_over_base(blk) == len(blk):
                 break
         mults.append(blk)
     return make_code(tower, part, min(2, part.n), multipliers=tuple(mults))

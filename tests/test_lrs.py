@@ -106,7 +106,7 @@ def test_locator_sets_are_p_independent():
         for nl in parts:
             while True:
                 blk = [F81.random_nonzero(rng) for _ in range(nl)]
-                if F81.linearly_independent_over_base(blk):
+                if F81.rank_over_base(blk) == len(blk):
                     break
             mults.append(tuple(blk))
         code = make_code(F81, part, min(2, part.n), multipliers=tuple(mults))
@@ -201,7 +201,7 @@ def _random_multipliers(tower, part, rng):
     for nl in part.parts:
         while True:
             blk = [tower.random_nonzero(rng) for _ in range(nl)]
-            if tower.linearly_independent_over_base(blk):
+            if tower.rank_over_base(blk) == len(blk):
                 break
         out.append(tuple(blk))
     return tuple(out)

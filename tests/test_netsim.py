@@ -1,9 +1,8 @@
-"""Design ILP, distributed code assembly, lifting and the channel."""
+"""Design ILP, distributed code assembly and the channel."""
 
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +23,9 @@ from lrsnet.netsim import (
     design_lengths,
     end_to_end_trial,
     even_partition,
-    lift,
     puncture,
     random_error_of_weight,
     sample_channel,
-    transmit,
     weight_statistics,
 )
 from lrsnet.sumrank import OrderedPartition, bruteforce_decode
@@ -358,35 +355,13 @@ def test_design_result_json_roundtrip():
     assert DesignResult.from_json(lean.to_json()).code is None
 
 
-def test_lift_layout():
-    m, widths = 9, PAPER_TUPLE
-    blocks = [np.zeros((m, w), dtype=np.int64) for w in widths]
-    X = lift(blocks)
-    assert X.shape == (23, 32)
-    assert np.array_equal(X[:, :23], np.eye(23, dtype=np.int64))
-    single = lift([np.zeros((3, 4), dtype=np.int64)])
-    assert np.array_equal(single, np.hstack([np.eye(4, dtype=np.int64),
-                                             np.zeros((4, 3), dtype=np.int64)]))
-
-
-def test_lift_carries_expansion():
-    rng = random.Random(1)
-    F9 = make_field(3, 1, 2)
-    c = [F9.random_element(rng) for _ in range(5)]
-    blocks = [F9.expand(c[:2]), F9.expand(c[2:])]
-    X = lift(blocks)
-    assert X.shape == (5, 7)
-    assert np.array_equal(X[0, 5:], F9.expand(c[:2])[:, 0])
-
-
 def test_sample_channel_no_adversary():
     ch = sample_channel(n=6, N=6, M=8, t=0, rho=0, q=3, seed=5)
     tower = make_field(3)
     assert tower.base_matrix_rank(ch.A) == 6
     assert not ch.E.any()
     X = np.arange(48).reshape(6, 8) % 3
-    Y = transmit(X, ch)
-    assert np.array_equal(Y, (ch.A @ X) % 3)
+    assert np.array_equal(tower.base_mat_mul(ch.A, X), (ch.A @ X) % 3)
 
 
 def test_sample_channel_rank_bounds():
@@ -433,39 +408,20 @@ def test_sample_channel_requires_enough_packets():
         sample_channel(n=6, N=3, M=8, t=0, rho=1, q=3)
 
 
-def test_transmit_identity_and_linearity():
-    ch = ChannelRealization(A=np.eye(4, dtype=np.int64),
-                            E=np.zeros((4, 6), dtype=np.int64),
-                            tower=make_field(3), t=0, rho=0, rank_A=4)
-    X = np.arange(24).reshape(4, 6) % 3
-    assert np.array_equal(transmit(X, ch), X)
-    ch2 = sample_channel(4, 4, 6, 1, 0, 3, seed=9)
-    X2 = (X + 1) % 3
-    lhs = transmit((X + X2) % 3, ch2)
-    rhs = (transmit(X, ch2) + transmit(X2, ch2) - ch2.E) % 3
-    assert np.array_equal(lhs, rhs)
-    # Y = [A | I] [X; E] needs one row of E per row of A
-    with pytest.raises(ValueError, match="shape mismatch"):
-        transmit(X, replace(ch, E=np.zeros((3, 6), dtype=np.int64)))
-
-
-@pytest.mark.parametrize("q,entry,match", [
-    (4, 7, "not an element"),        # ended in a bare IndexError on the F_4 tables
-    (4, -1, "not an element"),       # read as 3
-    (3, 5, "not an element"),        # reduced to 2
-    (3, 1.5, "must be integers"),    # truncated to 1 before any check
-])
-def test_transmit_rejects_packets_outside_the_field(q, entry, match):
-    ch = sample_channel(4, 4, 6, 1, 0, q, seed=9)
-    X = np.zeros((4, 6), dtype=object)
-    X[2, 3] = entry
-    with pytest.raises(ValueError, match=match):
-        transmit(X.tolist(), ch)
+@pytest.mark.parametrize("t,rho", [(-1, 0), (0, -1), (-2, -1)])
+def test_sample_channel_rejects_negative_t_and_rho(t, rho):
+    # a negative t drew from an empty range (a ZeroDivisionError in the word
+    # stream), and a negative rho reached randint's "empty range"
+    with pytest.raises(ValueError, match=f"got t = {t}, rho = {rho}"):
+        sample_channel(4, 6, 6, t, rho, 4)
+    with pytest.raises(ValueError, match=f"got t = {t}, rho = {rho}"):
+        weight_statistics(4, 1, t, (4,), 6, 2, rho=rho)
 
 
 @pytest.mark.parametrize("q", [4, 9])
 def test_transmit_over_extension_matches_entrywise_oracle(q):
-    # q = 4 = 2^2 and q = 9 = 3^2: F_q addition is not addition mod q
+    # q = 4 = 2^2 and q = 9 = 3^2: F_q addition is not addition mod q.  The
+    # channel output Y = A X + E is the one `base_mat_mul` [A | I] [X; E].
     Fq = make_field(*prime_power(q))
     ch = sample_channel(5, 6, 7, 2, 1, q, seed=1)
     assert ch.E.any()
@@ -478,10 +434,9 @@ def test_transmit_over_extension_matches_entrywise_oracle(q):
             for t in range(5):
                 acc = Fq.base_add(acc, Fq.base_mul(int(ch.A[i, t]), int(X[t, j])))
             want[i, j] = acc
-    assert np.array_equal(transmit(X, ch), want)
-    ident = ChannelRealization(A=np.eye(5, dtype=np.int64), E=np.zeros((5, 7), dtype=np.int64),
-                               tower=Fq, t=0, rho=0, rank_A=5)
-    assert np.array_equal(transmit(X, ident), X)
+    AI = np.hstack([ch.A, np.eye(6, dtype=np.int64)])
+    assert np.array_equal(Fq.base_mat_mul(AI, np.vstack([X, ch.E])), want)
+    assert np.array_equal(Fq.base_mat_mul(np.eye(5, dtype=np.int64), X), X)
 
 
 def test_audit_weights_reports():

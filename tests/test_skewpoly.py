@@ -229,7 +229,7 @@ def _random_locator_set(tower, rng, sizes):
         rep = tower.pow(tower.gamma, l)
         while True:
             mult = [tower.random_nonzero(rng) for _ in range(s)]
-            if tower.linearly_independent_over_base(mult):
+            if tower.rank_over_base(mult) == len(mult):
                 break
         pts = [tower.mul(rep, tower.pow(b, tower.q - 1)) for b in mult]
         out.extend(pts)
@@ -327,7 +327,7 @@ def test_root_set_is_conjugate_image_of_multiplier_span():
             mults = [F27.mul(p, F27.inv(rep)) for p in blk]  # b^(q-1) values
             # span image: gather all nonzero F_q-combinations of the b's
             # the b's themselves are unknown here, so rebuild from exhaustion:
-            members = {a for a in F27.all_elements()
+            members = {a for a in range(F27.order)
                        if a and F27.norm(rep) == F27.norm(a) and evaluate(f, a) == 0}
             expected |= members
         assert roots_in_field(f) == expected

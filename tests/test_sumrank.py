@@ -64,6 +64,25 @@ def test_single_block_is_rank_weight():
         assert sum_rank_weight(F9, x, part) == F9.rank_over_base(x)
 
 
+@pytest.mark.parametrize("pem", [(3, 1, 4), (2, 2, 3)], ids=["F81", "F64"])
+def test_sum_rank_weight_checks_each_entry_once(pem, monkeypatch):
+    # the whole vector is checked once; the block ranks do not check again
+    tower = make_field(*pem)
+    checked = []
+    check = type(tower).check_elements
+
+    def counting(self, vals, *args):
+        out = check(self, vals, *args)
+        checked.extend(out)
+        return out
+
+    monkeypatch.setattr(type(tower), "check_elements", counting)
+    x = [tower.random_element(random.Random(j)) for j in range(6)]
+    weight = sum_rank_weight(tower, x, OrderedPartition((3, 3)))
+    assert checked == x
+    assert weight == sum(tower.rank_over_base(blk) for blk in (x[:3], x[3:]))
+
+
 def test_length_mismatch():
     with pytest.raises(ValueError):
         sum_rank_weight(F9, [0, 0], OrderedPartition((3,)))
