@@ -18,6 +18,10 @@ one must pass the same check.  This makes construction deterministic, and
 m >= 2 the top search starts past the binomials y^m + c, none of which is
 primitive.
 
+F_q has one set of tables for q <= 512, built at construction by
+``_init_base_tables``: the scalar base ops read them for e >= 2 (residues mod
+p for e = 1), and so do the numpy ranks, ``_base_product`` and ``numpy_tables``.
+
 Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 
 - order <= 2^16: ``mul``, ``inv``, ``pow`` and ``frobenius`` look up tables
@@ -25,7 +29,7 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
 - sum, odd p, order <= 2^16: ``add``, ``sub`` and ``neg`` by Zech
   logarithms, a + b = gamma^(log a + zech[log b - log a]) with
   zech[i] = log(1 + gamma^i) (oracle: ``_digitwise_mod_add``/``_sub``, the
-  digit loops of the larger fields); p = 2 adds by XOR;
+  top-field digit loops past the tables); p = 2 adds by XOR;
 - product with an operand 1, past the tables: the other operand, with no
   arithmetic (monic columns, first norms, Newton steps);
 - product, p = 2: one carry-less pass over the integer encoding with an
@@ -64,7 +68,7 @@ the one check of their guard.
 
 F_q[y] has one long division, ``_qpoly_divmod``.  Its remainder reduces the
 schoolbook product ``_qpoly_mulmod``, which serves the modulus search
-(``_qpoly_powmod``) and the powers of a primitive element of F_q behind the
+(``_qpoly_powmod``) and the rows d x^i w of a primitive candidate behind the
 base-field tables and is both packed products' oracle, and it gives the
 fold rows x^r y^i mod (g, f) of the odd-p slot product; its quotients and
 remainders drive Ben-Or's gcd and ``inv`` past the tables.
@@ -85,7 +89,7 @@ import numpy as np
 # Tables of gamma-powers are kept for fields up to this order; they make
 # scalar multiplication O(1) and feed the vectorized numpy paths.
 _SCALAR_TABLE_MAX = 1 << 16
-# Order x order add, mul and reduction tables (`numpy_tables`) up to this order.
+# The F_q tables, and the order x order ones of `numpy_tables`, up to this order.
 _NUMPY_TABLE_MAX = 512
 # `base_matrix_rank` keeps residues mod primes below this in int64, where
 # every product and sum fits; larger primes eliminate on Python ints.
@@ -248,7 +252,6 @@ class FieldTower:
         if self.order <= _SCALAR_TABLE_MAX:
             self._build_scalar_tables()
         self._np_tables = None
-        self._base_np = None
         # digit d of an encoding has weight p^d (int64 while every encoding
         # fits); set once the moduli have validated m
         self._digit_weights = np.array([p ** d for d in range(self._ndigits)],
@@ -259,58 +262,68 @@ class FieldTower:
     # base field F_q = F_p[x]/(g)
 
     def _init_base_tables(self):
-        """For e >= 2, the q x q product table of F_q and its inverses from
-        the powers of one primitive element w: a b = w^((log a + log b) mod
-        (q - 1)).  Finding w and its powers takes O(q) `_qpoly_mulmod`
-        products; a candidate's walk stops at its order, which divides q - 1."""
+        """The one set of F_q tables, for every q <= `_NUMPY_TABLE_MAX` (none for a
+        larger prime): `_base_tables` = (add, mul, neg, inv) with inv[0] = 0, and
+        for e >= 2 the list views that the scalar ops read.  For e = 1 they are
+        residues mod p.  For e >= 2 add is digitwise and a b = w^((log a + log b)
+        mod (q - 1)) for a primitive w: a candidate costs e p `_qpoly_mulmod`
+        products (its rows d x^i w), and each step of its walk, which stops at
+        its order, sums one row entry per digit."""
         p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._base_mul_tab = None
-            self._base_inv_tab = None
-            return
+        self._base_tables = None
+        self._base_add_tab = self._base_neg_tab = self._base_mul_tab = self._base_inv_tab = None
         if q > _NUMPY_TABLE_MAX:
+            if e == 1:
+                return
             raise ValueError(f"base field size q = {q} beyond supported table range")
-        fp = make_field(p)
-        for cand in range(2, q):
-            w = tuple(_int_digits(cand, p, e))
-            powers, x = [1], w
-            while x != (1,):  # remainders are trimmed
-                powers.append(_digits_int(x, p))
-                x = fp._qpoly_mulmod(x, w, self.base_modulus)
-            if len(powers) == q - 1:
-                break
-        exp = np.array(powers, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        self._base_mul_tab = mul.tolist()
-        self._base_inv_tab = [0] + exp[-log[1:] % (q - 1)].tolist()
+        add = _digitwise_add_table(p, e)
+        if e == 1:
+            mul = np.multiply.outer(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64)) % q
+        else:
+            fp, sums = make_field(p), add.tolist()
+            for cand in range(2, q):
+                w = tuple(_int_digits(cand, p, e))
+                rows = [[_digits_int(fp._qpoly_mulmod((0,) * i + (d,), w, self.base_modulus), p)
+                         for d in range(p)] for i in range(e)]
+                powers, x = [1], cand
+                while x != 1:
+                    powers.append(x)
+                    a, x = x, 0
+                    for row in rows:  # x = w a
+                        a, d = divmod(a, p)
+                        x = sums[x][row[d]]
+                if len(powers) == q - 1:
+                    break
+            exp = np.array(powers, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        neg = (add == 0).argmax(axis=1)
+        inv = (mul == 1).argmax(axis=1)  # row 0 holds no 1, so inv[0] = 0
+        self._base_tables = (add, mul, neg, inv)
+        if e >= 2:
+            self._base_add_tab, self._base_mul_tab = sums, mul.tolist()
+            self._base_neg_tab, self._base_inv_tab = neg.tolist(), inv.tolist()
 
-    # For e = 1 the one-digit case stays inline: base_mul and base_sub run per
+    # For e = 1 the one-digit case stays inline: base_mul and base_add run per
     # step of `_qpoly_divmod`, which `inv` runs on fields without log tables,
-    # base_sub also per entry of an F_q elimination, and a helper call made
+    # base_sub per entry of an F_q elimination, and a helper call made
     # the F_q polynomial product in F_{5^10} ~14% slower.
     def base_add(self, a: int, b: int) -> int:
-        if self._p2:
-            return a ^ b
         if self.e == 1:
             return (a + b) % self.p
-        return _digitwise_mod_add(a, b, self.p, self.e)
+        return self._base_add_tab[a][b]
 
     def base_neg(self, a: int) -> int:
-        if self._p2:
-            return a
         if self.e == 1:
             return -a % self.p
-        return _digitwise_mod_sub(0, a, self.p, self.e)
+        return self._base_neg_tab[a]
 
     def base_sub(self, a: int, b: int) -> int:
-        if self._p2:
-            return a ^ b
         if self.e == 1:
             return (a - b) % self.p
-        return _digitwise_mod_sub(a, b, self.p, self.e)
+        return self._base_add_tab[a][self._base_neg_tab[b]]
 
     def base_mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -420,14 +433,14 @@ class FieldTower:
         b = _qpoly_trim(b)
         if not b:
             raise ZeroDivisionError
-        sub, mul = self.base_sub, self.base_mul
+        add, mul = self.base_add, self.base_mul
         inv_lead = self.base_inv(b[-1])
         top = len(b) - 1
-        terms = [(j, x) for j, x in enumerate(b[:top]) if x]  # b's nonzero low terms
+        terms = [(j, self.base_neg(x)) for j, x in enumerate(b[:top]) if x]  # -b's low terms
         a = list(a)
         q = [0] * max(0, len(a) - top)
         for k in range(len(a) - top - 1, -1, -1):
-            # clear the term of y^(k + top) by subtracting c y^k b; a monic b,
+            # clear the term of y^(k + top) by adding c y^k (-b); a monic b,
             # as every modulus is, needs no scaling
             c = a[k + top]
             if c:
@@ -435,7 +448,7 @@ class FieldTower:
                     c = mul(c, inv_lead)
                 q[k] = c
                 for j, x in terms:
-                    a[k + j] = sub(a[k + j], mul(c, x))
+                    a[k + j] = add(a[k + j], mul(c, x))
         return _qpoly_trim(q), _qpoly_trim(a[:top])
 
     def _qpoly_gcd(self, a, b):
@@ -836,7 +849,7 @@ class FieldTower:
         if self.e == 1:
             p = self.p
         else:
-            add, mul, neg, inv = self._base_numpy_tables()
+            add, mul, neg, inv = self._base_tables
         rank = 0
         for i, row in enumerate(M):
             col = (row != 0).argmax()
@@ -874,26 +887,11 @@ class FieldTower:
             if A.shape[1] * (self.p - 1) ** 2 < 1 << 63:
                 return (A @ B) % self.p
             return ((A.astype(object) @ B.astype(object)) % self.p).astype(A.dtype)
-        add_t, mul_t, _, _ = self._base_numpy_tables()
+        add_t, mul_t, _, _ = self._base_tables
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for t in range(A.shape[1]):
             out = add_t[out, mul_t[A[:, t][:, None], B[t, :][None, :]]]
         return out
-
-    def _base_numpy_tables(self):
-        """(add, mul, neg, inv) over F_q: q x q tables and length-q vectors,
-        with inv[0] = 0."""
-        if self._base_np is None:
-            q = self.q
-            add = _digitwise_add_table(self.p, self.e)
-            if self.e == 1:
-                mul = np.multiply.outer(np.arange(q), np.arange(q)) % q
-            else:
-                mul = np.array(self._base_mul_tab, dtype=np.int64)
-            neg = (add == 0).argmax(axis=1)
-            inv = (mul == 1).argmax(axis=1)  # row 0 holds no 1, so inv[0] = 0
-            self._base_np = (add, mul, neg, inv)
-        return self._base_np
 
     def _structure_tensor(self):
         """em x em x em array S of the F_p structure constants: S[u, v] holds
@@ -971,7 +969,7 @@ class FieldTower:
             mul = np.zeros((n, n), dtype=np.int64)
             mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (n - 1)]
             add = _digitwise_add_table(self.p, self._ndigits)
-            _, bmul, bneg, binv = self._base_numpy_tables()
+            _, bmul, bneg, binv = self._base_tables
             elems = np.arange(n)
             digits = elems // q ** np.arange(self.m)[:, None] % q  # row i: digit i
             piv = (digits != 0).argmax(axis=0)  # 0 for a = 0

@@ -405,6 +405,8 @@ def weight_statistics(q: int, ell: int, t: int, row_parts, M: int,
     Reports the empirical frequency of the error weight bound being tight,
     conditioned on full error rank.
     """
+    if t < 0 or rho < 0 or trials < 0:
+        raise ValueError(f"need t, rho, trials >= 0; got t = {t}, rho = {rho}, trials = {trials}")
     row_partition = OrderedPartition(row_parts)
     N = row_partition.n
     col_partition = even_partition(N, ell)

@@ -349,19 +349,31 @@ def test_zech_add_sub_neg_match_digit_loops(pem, data):
         assert tower.sub(x, y) == gf._digitwise_mod_sub(x, y, p, nd)
 
 
-@pytest.mark.parametrize("pem", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 1)],
-                         ids=["F2", "F3", "F4", "F5", "F9"])
+# the scalar base ops read these tables, so each table is also checked against
+# an independent oracle: sums against the digit loops over e base-p digits,
+# products against the schoolbook product mod the base modulus
+@pytest.mark.parametrize("pem", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 1),
+                                 (2, 3, 1), (5, 2, 1), (3, 3, 1), (7, 2, 1)],
+                         ids=["F2", "F3", "F4", "F5", "F9", "F8", "F25", "F27", "F49"])
 def test_base_numpy_tables_match_scalar_ops(pem):
     tower = make_field(*pem)
-    add, mul, neg, inv = tower._base_numpy_tables()
-    q = tower.q
+    add, mul, neg, inv = tower._base_tables
+    p, e, q = tower.p, tower.e, tower.q
     assert add.shape == mul.shape == (q, q) and neg.shape == inv.shape == (q,)
     for a in range(q):
-        assert neg[a] == tower.base_neg(a)
+        assert neg[a] == tower.base_neg(a) == gf._digitwise_mod_sub(0, a, p, e)
         assert inv[a] == (tower.base_inv(a) if a else 0)
+        if a:
+            assert mul[a, inv[a]] == 1
         for b in range(q):
-            assert add[a, b] == tower.base_add(a, b)
-            assert mul[a, b] == tower.base_mul(a, b)
+            assert add[a, b] == tower.base_add(a, b) == gf._digitwise_mod_add(a, b, p, e)
+            assert tower.base_sub(a, b) == gf._digitwise_mod_sub(a, b, p, e)
+            assert mul[a, b] == tower.base_mul(a, b) == _base_product(tower, a, b)
+
+
+def test_base_tables_up_to_the_table_bound():
+    assert make_field(509)._base_tables[1].shape == (509, 509)
+    assert make_field(521)._base_tables is None
 
 
 def _base_product(tower, a, b):
@@ -434,6 +446,11 @@ SPEC_GOLDEN = {
     (5, 2, 3): ([2, 0, 1], [6, 1, 0, 1]),
     (7, 2, 2): ([1, 0, 1], [12, 1, 1]),
     (5, 1, 25): ([0, 1], [2, 3, 0, 2] + [0] * 21 + [1]),
+    # odd p with e >= 2, whose searches run on the F_q tables
+    (3, 2, 8): ([1, 0, 1], [5, 1, 1, 0, 0, 0, 0, 0, 1]),
+    (5, 2, 6): ([2, 0, 1], [9, 1, 0, 0, 0, 0, 1]),
+    (3, 3, 5): ([1, 2, 0, 1], [6, 1, 0, 0, 0, 1]),
+    (7, 2, 4): ([1, 0, 1], [9, 2, 0, 0, 1]),
 }
 
 

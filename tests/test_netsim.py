@@ -418,6 +418,13 @@ def test_sample_channel_rejects_negative_t_and_rho(t, rho):
         weight_statistics(4, 1, t, (4,), 6, 2, rho=rho)
 
 
+@pytest.mark.parametrize("t,rho,trials", [(-1, 0, 0), (0, -1, 0), (1, 0, -3)])
+def test_weight_statistics_rejects_an_impossible_adversary_before_any_draw(t, rho, trials):
+    # checked before any draw: with trials = 0, sample_channel never sees t and rho
+    with pytest.raises(ValueError, match=f"got t = {t}, rho = {rho}, trials = {trials}"):
+        weight_statistics(4, 1, t, (4,), 6, trials, rho=rho)
+
+
 @pytest.mark.parametrize("q", [4, 9])
 def test_transmit_over_extension_matches_entrywise_oracle(q):
     # q = 4 = 2^2 and q = 9 = 3^2: F_q addition is not addition mod q.  The
