@@ -37,12 +37,15 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
   table of c f (oracle: ``_qpoly_mulmod``);
 - product, odd p: Kronecker substitution, one big-int product of the
   base-p digits in w-bit slots, digit r of y-digit i in slot i (2e - 1) + r
-  so that the x-degrees of each y^i stay apart; every slot outside the
-  basis is folded by its row x^r y^i mod (g, f) (oracle: ``_qpoly_mulmod``);
+  so that the x-degrees of each y^i stay apart (oracle: ``_qpoly_mulmod``).
+  Its pair ``_spread``/``_reduce`` has slots wide enough for a sum of m + 1
+  products, so a sum of products reduces once per output (``_slot_dot``, in
+  chunks of m, the Newton steps of ``skewpoly`` and ``_row_update``);
 - Frobenius sigma^i: the F_q-linear map a -> sum_j T_i[j][a_j], with
   T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
-- inverse: extended Euclid over F_q[y] on ``_qpoly_divmod`` (oracle:
-  ``pow(a, q^m - 2)``);
+- inverse: Itoh-Tsujii, a^-1 = a^(r - 1) / a^r for r = (q^m - 1)/(q - 1), the
+  norm a^r in F_q and a^(r - 1) along the bits of m - 1 over Frobenius
+  powers; ``pow`` past the Frobenius table guard (oracle: ``pow(a, q^m - 2)``);
 - matrix product ``mat_mul`` (``vec_mat`` is its one-row case): one
   product over F_p on the e m base-p digits of the entries, through the
   structure tensor of the field, exact on float64 BLAS while k (e m)^2
@@ -70,8 +73,8 @@ F_q[y] has one long division, ``_qpoly_divmod``.  Its remainder reduces the
 schoolbook product ``_qpoly_mulmod``, which serves the modulus search
 (``_qpoly_powmod``) and the rows d x^i w of a primitive candidate behind the
 base-field tables and is both packed products' oracle, and it gives the
-fold rows x^r y^i mod (g, f) of the odd-p slot product; its quotients and
-remainders drive Ben-Or's gcd and ``inv`` past the tables.
+fold rows x^r y^i mod (g, f) of the odd-p slot product; its remainders
+drive Ben-Or's gcd.
 
 Kept with no production caller: ``FieldTower.conjugacy_classes`` checks
 paper criterion 8 and is the oracle of the norm comparison that
@@ -251,6 +254,8 @@ class FieldTower:
         self._zech = None  # odd p only
         if self.order <= _SCALAR_TABLE_MAX:
             self._build_scalar_tables()
+        # odd p past the log tables: sums of products run on the slot pair
+        self._slot_sums = not self._p2 and self._exp is None
         self._np_tables = None
         # digit d of an encoding has weight p^d (int64 while every encoding
         # fits); set once the moduli have validated m
@@ -307,9 +312,9 @@ class FieldTower:
             self._base_neg_tab, self._base_inv_tab = neg.tolist(), inv.tolist()
 
     # For e = 1 the one-digit case stays inline: base_mul and base_add run per
-    # step of `_qpoly_divmod`, which `inv` runs on fields without log tables,
-    # base_sub per entry of an F_q elimination, and a helper call made
-    # the F_q polynomial product in F_{5^10} ~14% slower.
+    # step of `_qpoly_divmod`, which the modulus search runs, base_sub per
+    # entry of an F_q elimination, and a helper call made the F_q polynomial
+    # product in F_{5^10} ~14% slower.
     def base_add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
@@ -527,25 +532,29 @@ class FieldTower:
             return a
         if self._p2:
             return self._binary_mul(a, b)
-        return self._kronecker_mul(a, b)
+        return self._reduce(self._spread(a) * self._spread(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        # extended Euclid over F_q[y]: s * a = r (mod f), ending at a unit r
-        r0, r1 = self.top_modulus, _qpoly_trim(self.digits(a))
-        s0, s1 = (), (1,)
-        while len(r1) > 1:
-            quo, rem = self._qpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, self._qpoly_sub(s0, self._qpoly_mul(quo, s1))
-        c = self.base_inv(r1[0])
-        return _digits_int([self.base_mul(c, x) for x in s1], self.q)
+        if self.m * self.q > _FROBENIUS_TABLE_MAX:
+            return self.pow(a, self.order - 2)
+        # Itoh-Tsujii: b = N_n(a) = a sigma(a) .. sigma^(n-1)(a) along the bits of m - 1
+        # (N_2n = N_n sigma^n(N_n), N_(n+1) = a sigma(N_n)), then a^-1 = sigma(b) / N(a)
+        # with the norm N(a) = a sigma(b) in F_q (for m = 1, b = a and a^-1 = a / a^2)
+        b, n = a, 1
+        for bit in bin(self.m - 1)[3:]:
+            b, n = self._frobenius_mul(b, b, n), 2 * n
+            if bit == "1":
+                b, n = self._frobenius_mul(a, b, 1), n + 1
+        return self._frobenius_mul(self.base_inv(self._frobenius_mul(a, b, 1)), b, 1)
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("negative power of 0")
             return 1 if n == 0 else 0
         n %= self.order - 1
         if self._exp is not None:
@@ -567,29 +576,42 @@ class FieldTower:
         if self._exp is not None:
             return self.pow(a, self.q ** i)
         # sigma^i fixes F_q, so sigma^i(a) = sum_j T_i[j][a_j]
-        rows = self._frobenius_maps.get(i)
-        if rows is None:
-            rows = self._frobenius_maps[i] = self._frobenius_rows(i)
+        if not self._p2:
+            return self._reduce(self._frobenius_slots(a, i))
+        acc = 0
+        e, digit = self.e, self.q - 1
+        for row in self._frobenius_maps.get(i) or self._frobenius_rows(i):
+            if not a:
+                break
+            acc ^= row[a & digit]
+            a >>= e
+        return acc
+
+    def _frobenius_slots(self, a: int, i: int) -> int:
+        """sigma^i(a) for odd p past the tables, as the raw slot sum of its m
+        table entries T_i[j][a_j], each a slot form (a's own for i = 0 mod m)."""
+        i %= self.m
+        if i == 0:
+            return self._spread(a)
         acc = 0
         q = self.q
-        if self._p2:
-            e, digit = self.e, q - 1
-            for row in rows:
-                if not a:
-                    break
-                acc ^= row[a & digit]
-                a >>= e
-            return acc
-        for row in rows:
+        for row in self._frobenius_maps.get(i) or self._frobenius_rows(i):
             if not a:
                 break
             a, c = divmod(a, q)
             acc += row[c]
-        return self._gather(acc)
+        return acc
+
+    def _frobenius_mul(self, x: int, y: int, i: int) -> int:
+        """x sigma^i(y) past the tables; for odd p one product of x's slot form
+        and y's raw Frobenius sum, with no `_reduce` between them."""
+        if self._p2:
+            return self._binary_mul(x, self.frobenius(y, i))
+        return self._reduce(self._spread(x) * self._frobenius_slots(y, i))
 
     def _frobenius_rows(self, i: int):
-        """T_i[j][c] = c * sigma^i(y^j) over j < m and c in F_q; for odd p in
-        slot form, so a sum of m entries is taken mod p once."""
+        """T_i[j][c] = c * sigma^i(y^j) over j < m and c in F_q, built on first
+        use; for odd p in slot form, so a sum of m entries is taken mod p once."""
         if self.m * self.q > _FROBENIUS_TABLE_MAX:
             raise ValueError(f"the Frobenius table of F_{self.q}^{self.m} needs m q = "
                              f"{self.m * self.q} entries, past the guard {_FROBENIUS_TABLE_MAX}")
@@ -598,9 +620,10 @@ class FieldTower:
         for _ in range(self.m):
             rows.append([self.mul(c, v) for c in range(self.q)])
             v = self.mul(v, step)
-        if self._p2:
-            return rows
-        return [[self._spread(x) for x in row] for row in rows]
+        if not self._p2:
+            rows = [[self._spread(x) for x in row] for row in rows]
+        self._frobenius_maps[i] = rows
+        return rows
 
     # Packed products.  For p = 2 an encoding is the F_2 coefficient vector of
     # its e*m digits, so addition is XOR and one carry-less pass over a's bits
@@ -648,16 +671,17 @@ class FieldTower:
     def _init_slot_packing(self):
         p, e, m, q = self.p, self.e, self.m, self.q
         stride = 2 * e - 1
-        # a product's x^r y^i (r <= 2e - 2) is slot i (2e - 1) + r; folding each slot
-        # off the basis (i >= m or r >= e) leaves a basis slot < (e m + #folded) (p - 1)^2
-        folded = [j for j in range(stride * (2 * m - 1)) if j >= stride * m or j % stride >= e]
-        width = ((e * m + len(folded)) * (p - 1) ** 2).bit_length()
+        # x^r y^i (r <= 2e - 2) of a product is slot i (2e - 1) + r, a sum of <= e m
+        # terms below (p - 1)^2, so a sum of m + 1 products is <= top; the folds of
+        # `_reduce` add the rest, each a slot times digits < p
+        top = (m + 1) * e * m * (p - 1) ** 2
+        width = (top * (1 + (e - 1) * (p - 1)) + e * (m - 1) * (p - 1) ** 2).bit_length()
         self._slot_mask = (1 << width) - 1
         self._low_mask = (1 << width * stride * m) - 1  # the slots of y^0 .. y^(m-1)
         k = 1  # y-digits per `_spread` chunk, q^k <= _SPREAD_TABLE_MAX
         while q ** (k + 1) <= _SPREAD_TABLE_MAX:
             k += 1
-        # bit offset of base-p digit u = e i + r, read high digit first by `_gather`
+        # bit offset of base-p digit u = e i + r, read high digit first by `_reduce`
         slot = [width * (u // e * stride + u % e) for u in range(e * max(m, k))]
         self._slot_shifts = slot[e * m - 1::-1]
         # slot forms of all chunks of k y-digits; one base-p digit is its own slot form
@@ -665,15 +689,19 @@ class FieldTower:
         for shift in slot[1:k * e]:
             slots = [s | d << shift for d in range(p) for s in slots]
         self._chunk, self._chunk_width, self._chunk_slots = q ** k, width * stride * k, slots
-        # (shift from the previous folded slot, x^r y^i mod (g, f)), where x^r
-        # is a product of two basis powers since r <= 2e - 2
+        # (offset of slot r, slot 0 of every y-digit, x^r mod g) for e <= r <= 2e - 2,
+        # where x^r is a product of two basis powers
+        firsts = _digits_int([self._slot_mask] * (2 * m - 1), 1 << width * stride)
+        self._x_folds = [(width * r, firsts, self._spread(self.base_mul(p ** (r // 2), p ** -(-r // 2))))
+                         for r in range(e, stride)]
+        # (shift from the previous folded slot, x^r y^i mod (g, f)) for i >= m, r < e
         self._fold_rows, prev = [], 0
-        for j in folded:
+        for j in range(stride * m, stride * (2 * m - 1)):
             i, r = divmod(j, stride)
-            c = self.base_mul(p ** (r // 2), p ** (r - r // 2))
-            row = _digits_int(self._qpoly_divmod([0] * i + [c], self.top_modulus)[1], q)
-            self._fold_rows.append((width * (j - prev), self._spread(row)))
-            prev = j
+            if r < e:
+                row = _digits_int(self._qpoly_divmod([0] * i + [p ** r], self.top_modulus)[1], q)
+                self._fold_rows.append((width * (j - prev), self._spread(row)))
+                prev = j
 
     def _spread(self, a: int) -> int:
         """Slot form of an encoding: digit r of y-digit i in slot i (2e - 1) + r."""
@@ -685,25 +713,45 @@ class FieldTower:
             shift += width
         return out
 
-    def _gather(self, s: int) -> int:
-        """Encoding whose digit r of y-digit i is slot i (2e - 1) + r of `s` mod p."""
-        p, mask = self.p, self._slot_mask
-        out = 0
-        for shift in self._slot_shifts:
-            out = out * p + (s >> shift & mask) % p
-        return out
-
-    def _kronecker_mul(self, a: int, b: int) -> int:
-        # a slot of the product is a convolution sum below 2^w; each folded slot
-        # adds its residue times its row to the basis slots, which `_gather` reads
-        s = self._spread(a) * self._spread(b)
+    def _reduce(self, s: int) -> int:
+        """Encoding of a sum of up to m + 1 slot products (a spread addend counts
+        as one, a product with a raw Frobenius sum as m): slot r >= e of each y-digit
+        folds by x^r mod g, then each slot of y^i (i >= m) by its row, and digit r
+        of y-digit i is slot i (2e - 1) + r mod p."""
+        for shift, firsts, row in self._x_folds:
+            s += (s >> shift & firsts) * row
         acc, mask, p = s & self._low_mask, self._slot_mask, self.p
         for shift, row in self._fold_rows:
             s >>= shift
             if not s:
                 break
             acc += (s & mask) % p * row
-        return self._gather(acc)
+        out = 0
+        for shift in self._slot_shifts:
+            out = out * p + (acc >> shift & mask) % p
+        return out
+
+    def _slot_dot(self, pairs) -> int:
+        """Sum of a b over slot-form pairs (a, b), reduced once per m products,
+        each partial sum spread as the addend of the next chunk."""
+        acc = 0
+        for n, (a, b) in enumerate(pairs):
+            if n and n % self.m == 0:
+                acc = self._spread(self._reduce(acc))
+            acc += a * b
+        return self._reduce(acc)
+
+    def _row_update(self, prow):
+        """The update (c, xs) -> xs - c prow of `_eliminate` for odd p past the
+        tables (else None): -prow is spread once, an entry is one `_reduce`."""
+        if not self._slot_sums:
+            return None
+        ys = [self._spread(self.neg(y)) for y in prow]
+
+        def update(c, xs):
+            cs = self._spread(c)
+            return [self._reduce(self._spread(x) + cs * y) for x, y in zip(xs, ys)]
+        return update
 
     def _build_scalar_tables(self):
         n = self.order
@@ -1022,6 +1070,8 @@ def mat_mul(tower: FieldTower, A, B):
     """
     n, k = len(A), len(B)
     cols = len(B[0]) if k else 0
+    if any(len(r) != k for r in A) or any(len(r) != cols for r in B):
+        raise ValueError(f"cannot multiply a {(n, len(A[0]) if n else k)} matrix by a {(k, cols)} one")
     if not (n and k and cols):
         return [[0] * cols for _ in range(n)]
     p, em = tower.p, tower._ndigits
@@ -1052,13 +1102,14 @@ def mat_rank(tower: FieldTower, A) -> int:
     rows = [list(r) for r in A]
     if not rows:
         return 0
-    pivots, _ = _eliminate(rows, len(rows[0]), tower.inv, tower.mul, tower.sub)
+    pivots, _ = _eliminate(rows, len(rows[0]), tower.inv, tower.mul, tower.sub, tower._row_update)
     return len(pivots)
 
 
 def mat_det(tower: FieldTower, A) -> int:
-    n = len(A)
-    pivots, swaps = _eliminate([list(r) for r in A], n, tower.inv, tower.mul, tower.sub)
+    n = _square_size(A)
+    ops = (tower.inv, tower.mul, tower.sub, tower._row_update)
+    pivots, swaps = _eliminate([list(r) for r in A], n, *ops)
     if len(pivots) < n:
         return 0
     det = 1
@@ -1068,8 +1119,8 @@ def mat_det(tower: FieldTower, A) -> int:
 
 
 def mat_inv(tower: FieldTower, A):
-    n = len(A)
-    ops = (tower.inv, tower.mul, tower.sub)
+    n = _square_size(A)
+    ops = (tower.inv, tower.mul, tower.sub, tower._row_update)
     rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A)]
     if len(_eliminate(rows, n, *ops)[0]) < n:
         raise ValueError("matrix is singular")
@@ -1081,13 +1132,21 @@ def mat_inv(tower: FieldTower, A):
     return [r[n:] for r in reversed(rows)]
 
 
-def _eliminate(rows, ncols, inv, mul, sub):
+def _square_size(A) -> int:
+    if any(len(r) != len(A) for r in A):
+        raise ValueError(f"need a square matrix; got rows of lengths {[len(r) for r in A]}")
+    return len(A)
+
+
+def _eliminate(rows, ncols, inv, mul, sub, update=None):
     """Forward Gaussian elimination on the first `ncols` columns, in place.
 
     `rows` holds lists over the field whose `inv`, `mul` and `sub` are given.
     Each pivot row is scaled to a leading 1 and cleared from the rows below
     it, which leaves a row-echelon form.  Returns the pivots as found, before
-    scaling (their count is the rank), and the number of row swaps.
+    scaling (their count is the rank), and the number of row swaps.  A row
+    below pivot row y takes x - c y by the map that `update(y)` returns, if
+    any (`FieldTower._row_update`), else by `mul` and `sub`.
 
     It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`), the
     key equation of `lrs.decode` and, for odd p, the short digit lists of
@@ -1111,10 +1170,12 @@ def _eliminate(rows, ncols, inv, mul, sub):
         # rows from `top` down are zero left of `col`
         prow = [mul(scale, x) for x in rows[top][col:]]
         rows[top][col:] = prow
+        clear = update and update(prow)
         for row in rows[top + 1:]:
             c = row[col]
             if c:
-                row[col:] = [sub(x, mul(c, y)) for x, y in zip(row[col:], prow)]
+                row[col:] = (clear(c, row[col:]) if clear else
+                             [sub(x, mul(c, y)) for x, y in zip(row[col:], prow)])
         pivots.append(lead)
     return pivots, swaps
 

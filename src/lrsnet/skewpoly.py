@@ -211,6 +211,11 @@ def evaluate(f: SkewPoly, alpha: int):
 
 
 def _evaluate_coeffs(t: FieldTower, coeffs, alpha: int):
+    """sum_i c_i N_i(alpha).  For odd p past the log tables the products are
+    summed in slot form and reduced once (`FieldTower._slot_dot`)."""
+    if t._slot_sums:
+        norms = _norm_slots(t, alpha, len(coeffs), {})
+        return t._slot_dot((t._spread(c), n) for c, n in zip(coeffs, norms) if c)
     acc = 0
     norm = 1
     sig = alpha  # sigma^i(alpha) while processing coefficient i+1
@@ -221,6 +226,17 @@ def _evaluate_coeffs(t: FieldTower, coeffs, alpha: int):
         if c:
             acc = t.add(acc, t.mul(c, norm))
     return acc
+
+
+def _norm_slots(t: FieldTower, alpha: int, n: int, norms: dict) -> list:
+    """Slot forms of N_0(alpha) .. N_(n-1)(alpha) at least, grown in `norms`
+    (alpha -> (slot forms, last norm)) by N_(i+1)(alpha) = alpha sigma(N_i(alpha))."""
+    slots, last = norms.get(alpha, ([1], 1))
+    while len(slots) < n:
+        last = t._frobenius_mul(alpha, last, 1)
+        slots.append(t._spread(last))
+    norms[alpha] = slots, last
+    return slots
 
 
 def evaluate_by_division(f: SkewPoly, alpha: int):
@@ -283,6 +299,7 @@ def minimal_polynomials(tower: FieldTower, point_sets) -> list:
     sets = [tuple(s) for s in point_sets]
     held = Counter(a for s in sets for a in s)
     products = {}  # ordered prefix -> its Newton product
+    norms = {}  # point -> its spread norms, on the slot route (`_norm_slots`)
     out = []
     for s in sets:
         prefix, g = (), (1,)
@@ -290,30 +307,40 @@ def minimal_polynomials(tower: FieldTower, point_sets) -> list:
             prefix += (alpha,)
             h = products.get(prefix)
             if h is None:
-                h = products[prefix] = (_newton_step(tower, g, alpha) if len(prefix) > 1
+                h = products[prefix] = (_newton_step(tower, g, alpha, norms) if len(prefix) > 1
                                         else (tower.neg(alpha), 1))
             g = h
         out.append(SkewPoly(tower, g).monic())
     return out
 
 
-def _newton_step(t: FieldTower, g, alpha: int):
+def _newton_step(t: FieldTower, g, alpha: int, norms: dict):
     """Coefficients of (v X - sigma(v) alpha) g with v = g(alpha) != 0, the
     left multiple of g that also vanishes at alpha (g itself when v = 0).
 
     It is v times the monic Newton factor X - sigma(v) alpha v^-1, so the
     step needs no inverse: h_i = c_0 g_i + v sigma(g_(i-1)) with
-    c_0 = -sigma(v) alpha.
+    c_0 = -sigma(v) alpha.  Past the log tables for odd p, g, c_0 and v are
+    spread once (alpha's norms kept in `norms`, see `_norm_slots`) and each
+    h_i is one `FieldTower._reduce`, on the raw Frobenius sum of g_(i-1).
     """
-    v = _evaluate_coeffs(t, g, alpha)
+    if t._slot_sums:
+        gs = [t._spread(c) for c in g]
+        v = t._slot_dot(zip(gs, _norm_slots(t, alpha, len(g), norms)))
+    else:
+        v = _evaluate_coeffs(t, g, alpha)
     if v == 0:
         return g
     c0 = t.neg(t.mul(t.frobenius(v), alpha))
-    h = [t.mul(c0, g[0])]
-    for lo, hi in zip(g, g[1:]):
-        h.append(t.add(t.mul(c0, hi), t.mul(v, t.frobenius(lo))))
-    h.append(t.mul(v, t.frobenius(g[-1])))
-    return tuple(h)
+    if not t._slot_sums:
+        h = [t.mul(c0, g[0])]
+        for lo, hi in zip(g, g[1:]):
+            h.append(t.add(t.mul(c0, hi), t.mul(v, t.frobenius(lo))))
+        h.append(t.mul(v, t.frobenius(g[-1])))
+        return tuple(h)
+    c0, v = t._spread(c0), t._spread(v)
+    sg = [t._frobenius_slots(c, 1) for c in g]
+    return tuple(t._reduce(c0 * hi + v * lo) for hi, lo in zip(gs + [0], [0] + sg))
 
 
 def is_p_independent(tower: FieldTower, points) -> bool:

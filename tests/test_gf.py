@@ -518,15 +518,65 @@ def test_inv_matches_power(tower, data):
     assert tower.inv(a) == tower.pow(a, tower.order - 2)
 
 
+# Itoh-Tsujii inverses past the log tables: odd p with e = 1 and e = 2 at the
+# sizes of the paper, p = 2, and F_65537^2, whose Frobenius table is past its
+# guard and which inverts by `pow`.  The F_q[y] Euclid must not run.
+@pytest.mark.parametrize("pem", [(5, 1, 25), (2, 1, 40), (3, 2, 16), (65537, 1, 2)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_inv_past_the_tables_matches_power(pem, data):
+    tower = make_field(*pem)
+    a = data.draw(_element(tower, nonzero=True))
+
+    def no_division(*args):
+        raise AssertionError("inv ran a polynomial division")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldTower, "_qpoly_divmod", no_division)
+        assert tower.inv(a) == tower.pow(a, tower.order - 2)
+
+
+@pytest.mark.parametrize("pem", [(3, 1, 2), (5, 1, 10), (3, 2, 6)], ids=str)
+def test_negative_power_of_zero_raises(pem):
+    tower = make_field(*pem)
+    with pytest.raises(ZeroDivisionError):
+        tower.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        tower.inv(0)
+    assert tower.pow(0, 0) == 1 and tower.pow(0, 3) == 0
+
+
+# Sums of slot products: `_slot_dot` reduces once per m products, so m + 1
+# terms cross one chunk boundary and 2 m + 1 two.  All-(p - 1) digits give the
+# largest slots; the oracle is the `mul`/`add` loop.
+@pytest.mark.parametrize("pem", [(5, 1, 10), (3, 2, 6), (7, 1, 3), (5, 2, 3)], ids=str)
+def test_slot_dot_across_chunk_boundaries(pem):
+    tower = make_field(*pem)
+    top = tower.order - 1
+    rng = random.Random(7)
+    for n in (tower.m, tower.m + 1, 2 * tower.m + 1):
+        for xs, ys in (([top] * n, [top] * n),
+                       ([tower.random_element(rng) for _ in range(n)],
+                        [tower.random_element(rng) for _ in range(n)])):
+            want = 0
+            for x, y in zip(xs, ys):
+                want = tower.add(want, tower.mul(x, y))
+            pairs = [(tower._spread(x), tower._spread(y)) for x, y in zip(xs, ys)]
+            assert tower._slot_dot(pairs) == want
+            # the largest raw Frobenius sum times a spread operand
+            assert tower._frobenius_mul(xs[0], ys[0], 1) == tower.mul(xs[0], tower.frobenius(ys[0]))
+
+
 # ----------------------------------------------------------------------
 # Elimination (rank, determinant, inverse) against oracles that do no
 # elimination: row-span sizes, Leibniz determinants and nonzero minors.
 # Towers: prime q, p = 2 on the carry-less path (order past the log tables),
-# odd p with e >= 2 on the log-table and the generic multiplication path, and
-# F_4, the channel's base field, with p = 2 and e = 2.
+# odd p with e >= 2 on the log-table and the slot path, F_4, the channel's
+# base field, with p = 2 and e = 2, and F_{5^10}, prime q on the slot path.
 
 LINALG_TOWERS = [make_field(5, 1, 2), make_field(2, 1, 17),
-                 make_field(3, 2, 2), make_field(3, 2, 6), make_field(2, 2, 1)]
+                 make_field(3, 2, 2), make_field(3, 2, 6), make_field(2, 2, 1),
+                 make_field(5, 1, 10)]
 _tower_ids = [repr(t) for t in LINALG_TOWERS]
 _linalg_settings = settings(max_examples=40, deadline=None)
 
@@ -843,6 +893,22 @@ def test_mat_inv_is_two_sided_inverse(tower, data):
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert mat_mul(tower, rows, inv) == identity
     assert mat_mul(tower, inv, rows) == identity
+
+
+@pytest.mark.parametrize("A", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]], ids=str)
+def test_det_and_inverse_refuse_a_matrix_that_is_not_square(A):
+    tower = make_field(5, 1, 10)
+    for f in (mat_det, mat_inv):
+        with pytest.raises(ValueError, match="square"):
+            f(tower, A)
+
+
+@pytest.mark.parametrize("A,B", [([[1, 2]], [[1, 2]]), ([[1, 2], [3]], [[1], [2]]),
+                                 ([[1]], [[1, 2], [3]]), ([[1, 2]], []), ([], [[1, 2], [3]])],
+                         ids=str)
+def test_mat_mul_refuses_shapes_that_do_not_chain(A, B):
+    with pytest.raises(ValueError, match="cannot multiply"):
+        mat_mul(make_field(5, 1, 10), A, B)
 
 
 # ----------------------------------------------------------------------

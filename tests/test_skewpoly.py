@@ -501,3 +501,50 @@ def test_shared_prefix_batch_matches_lclm(tower, data):
     assert polys == [_lclm_oracle(tower, s) for s in family]
     assert polys == [minimal_polynomial(tower, s) if s else SkewPoly.one(tower)
                      for s in family]
+
+
+# ----------------------------------------------------------------------
+# Minimal polynomials and evaluation past the log tables: odd p in slot form
+# (F_{5^25}, F_{9^10}), p = 2 (F_{2^40}) and m = 1 (F_65537, whose Frobenius
+# is the identity), against a per-set Newton on the scalar ops and against
+# remainders of right division.  A set of m + 3 points crosses a chunk
+# boundary of the slot sums.
+
+SLOT_TOWERS = [make_field(5, 1, 25), make_field(3, 2, 10), make_field(2, 1, 40),
+               make_field(65537, 1, 1)]
+_slot_settings = settings(max_examples=10, deadline=None)
+
+
+def _scalar_newton(tower, points):
+    """Monic minimal polynomial of `points`: each point that is not yet a
+    root multiplies in X - sigma(v) a v^-1 on the left, v the remainder."""
+    g = SkewPoly.one(tower)
+    for a in points:
+        v = evaluate_by_division(g, a)
+        if v:
+            c = tower.mul(tower.mul(tower.frobenius(v), a), tower.inv(v))
+            g = SkewPoly(tower, (tower.neg(c), 1)) * g
+    return g
+
+
+@pytest.mark.parametrize("tower", SLOT_TOWERS, ids=repr)
+@_slot_settings
+@given(data=st.data())
+def test_minimal_polynomials_match_scalar_newton(tower, data):
+    family = data.draw(_point_family(tower))
+    element = st.integers(0, tower.order - 1)
+    family.append(data.draw(st.lists(element, min_size=tower.m, max_size=tower.m + 3)))
+    polys = minimal_polynomials(tower, family)
+    for points, f in zip(family, polys):
+        assert f == _scalar_newton(tower, points)
+        assert all(evaluate_by_division(f, a) == 0 for a in points)
+
+
+@pytest.mark.parametrize("tower", SLOT_TOWERS, ids=repr)
+@_slot_settings
+@given(data=st.data())
+def test_evaluate_matches_division_past_the_tables(tower, data):
+    element = st.integers(0, tower.order - 1)
+    f = SkewPoly(tower, data.draw(st.lists(element, min_size=1, max_size=2 * tower.m + 2)))
+    a = data.draw(element)
+    assert evaluate(f, a) == evaluate_by_division(f, a)
