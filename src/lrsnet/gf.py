@@ -37,15 +37,14 @@ Arithmetic routes in F_{q^m}, each checked in the tests against its oracle:
   table of c f (oracle: ``_qpoly_mulmod``);
 - product, odd p: Kronecker substitution, one big-int product of the
   base-p digits in w-bit slots, digit r of y-digit i in slot i (2e - 1) + r
-  so that the x-degrees of each y^i stay apart (oracle: ``_qpoly_mulmod``).
-  Its pair ``_spread``/``_reduce`` has slots wide enough for a sum of m + 1
-  products, so a sum of products reduces once per output (``_slot_dot``, in
-  chunks of m, the Newton steps of ``skewpoly`` and ``_row_update``);
+  so that the x-degrees of each y^i stay apart (oracle: ``_qpoly_mulmod``);
+  the slots of its pair ``_spread``/``_reduce`` hold m + 1 products without
+  carry, so ``_slot_dot``, Newton steps and ``_row_update`` reduce once each;
 - Frobenius sigma^i: the F_q-linear map a -> sum_j T_i[j][a_j], with
   T_i[j][c] = c sigma^i(y^j) built on first use (oracle: ``pow(a, q^i)``);
-- inverse: Itoh-Tsujii, a^-1 = a^(r - 1) / a^r for r = (q^m - 1)/(q - 1), the
-  norm a^r in F_q and a^(r - 1) along the bits of m - 1 over Frobenius
-  powers; ``pow`` past the Frobenius table guard (oracle: ``pow(a, q^m - 2)``);
+- inverse: Itoh-Tsujii, a^-1 = a^(r - 1) / a^r, r = (q^m - 1)/(q - 1), with a^r
+  in F_q and a^(r - 1) along the bits of m - 1 over Frobenius powers; m = 1 by
+  ``base_inv``, past the Frobenius guard by ``pow`` (oracle: ``pow(a, q^m - 2)``);
 - matrix product ``mat_mul`` (``vec_mat`` is its one-row case): one
   product over F_p on the e m base-p digits of the entries, through the
   structure tensor of the field, exact on float64 BLAS while k (e m)^2
@@ -254,8 +253,7 @@ class FieldTower:
         self._zech = None  # odd p only
         if self.order <= _SCALAR_TABLE_MAX:
             self._build_scalar_tables()
-        # odd p past the log tables: sums of products run on the slot pair
-        self._slot_sums = not self._p2 and self._exp is None
+        self._slot_sums = not self._p2 and self._exp is None  # odd p, no log tables
         self._np_tables = None
         # digit d of an encoding has weight p^d (int64 while every encoding
         # fits); set once the moduli have validated m
@@ -539,11 +537,12 @@ class FieldTower:
             raise ZeroDivisionError("inverse of 0")
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        if self.m == 1:
+            return self.base_inv(a)
         if self.m * self.q > _FROBENIUS_TABLE_MAX:
             return self.pow(a, self.order - 2)
         # Itoh-Tsujii: b = N_n(a) = a sigma(a) .. sigma^(n-1)(a) along the bits of m - 1
-        # (N_2n = N_n sigma^n(N_n), N_(n+1) = a sigma(N_n)), then a^-1 = sigma(b) / N(a)
-        # with the norm N(a) = a sigma(b) in F_q (for m = 1, b = a and a^-1 = a / a^2)
+        # (N_2n = N_n sigma^n(N_n), N_(n+1) = a sigma(N_n)), a^-1 = sigma(b) / (a sigma(b))
         b, n = a, 1
         for bit in bin(self.m - 1)[3:]:
             b, n = self._frobenius_mul(b, b, n), 2 * n
@@ -570,44 +569,30 @@ class FieldTower:
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^(i mod m)), the i-th power of the Frobenius x -> x^q."""
-        i %= self.m
-        if i == 0:
-            return a
         if self._exp is not None:
-            return self.pow(a, self.q ** i)
-        # sigma^i fixes F_q, so sigma^i(a) = sum_j T_i[j][a_j]
-        if not self._p2:
-            return self._reduce(self._frobenius_slots(a, i))
-        acc = 0
-        e, digit = self.e, self.q - 1
-        for row in self._frobenius_maps.get(i) or self._frobenius_rows(i):
-            if not a:
-                break
-            acc ^= row[a & digit]
-            a >>= e
-        return acc
+            return self.pow(a, self.q ** (i % self.m))
+        s = self._frobenius_sum(a, i)
+        return s if self._p2 else self._reduce(s)
 
-    def _frobenius_slots(self, a: int, i: int) -> int:
-        """sigma^i(a) for odd p past the tables, as the raw slot sum of its m
-        table entries T_i[j][a_j], each a slot form (a's own for i = 0 mod m)."""
+    def _frobenius_sum(self, a: int, i: int) -> int:
+        """sigma^i(a) past the tables as the sum of its entries T_i[j][a_j] (sigma^i
+        fixes F_q): XOR for p = 2, else a raw slot sum, m products to `_reduce`."""
         i %= self.m
         if i == 0:
-            return self._spread(a)
-        acc = 0
-        q = self.q
+            return a if self._p2 else self._spread(a)
+        acc, q, p2 = 0, self.q, self._p2
         for row in self._frobenius_maps.get(i) or self._frobenius_rows(i):
             if not a:
                 break
-            a, c = divmod(a, q)
-            acc += row[c]
+            acc = acc ^ row[a % q] if p2 else acc + row[a % q]
+            a //= q
         return acc
 
     def _frobenius_mul(self, x: int, y: int, i: int) -> int:
         """x sigma^i(y) past the tables; for odd p one product of x's slot form
         and y's raw Frobenius sum, with no `_reduce` between them."""
-        if self._p2:
-            return self._binary_mul(x, self.frobenius(y, i))
-        return self._reduce(self._spread(x) * self._frobenius_slots(y, i))
+        s = self._frobenius_sum(y, i)
+        return self._binary_mul(x, s) if self._p2 else self._reduce(self._spread(x) * s)
 
     def _frobenius_rows(self, i: int):
         """T_i[j][c] = c * sigma^i(y^j) over j < m and c in F_q, built on first
@@ -671,9 +656,8 @@ class FieldTower:
     def _init_slot_packing(self):
         p, e, m, q = self.p, self.e, self.m, self.q
         stride = 2 * e - 1
-        # x^r y^i (r <= 2e - 2) of a product is slot i (2e - 1) + r, a sum of <= e m
-        # terms below (p - 1)^2, so a sum of m + 1 products is <= top; the folds of
-        # `_reduce` add the rest, each a slot times digits < p
+        # x^r y^i (r <= 2e - 2) of a product is slot i (2e - 1) + r, e m terms < (p - 1)^2,
+        # so m + 1 products sum to <= top; each fold of `_reduce` adds a slot times digits < p
         top = (m + 1) * e * m * (p - 1) ** 2
         width = (top * (1 + (e - 1) * (p - 1)) + e * (m - 1) * (p - 1) ** 2).bit_length()
         self._slot_mask = (1 << width) - 1
@@ -689,8 +673,7 @@ class FieldTower:
         for shift in slot[1:k * e]:
             slots = [s | d << shift for d in range(p) for s in slots]
         self._chunk, self._chunk_width, self._chunk_slots = q ** k, width * stride * k, slots
-        # (offset of slot r, slot 0 of every y-digit, x^r mod g) for e <= r <= 2e - 2,
-        # where x^r is a product of two basis powers
+        # (offset of slot r, slot 0 of each y-digit, x^r mod g = x^(r//2) x^(r - r//2)), e <= r < 2e - 1
         firsts = _digits_int([self._slot_mask] * (2 * m - 1), 1 << width * stride)
         self._x_folds = [(width * r, firsts, self._spread(self.base_mul(p ** (r // 2), p ** -(-r // 2))))
                          for r in range(e, stride)]
@@ -714,10 +697,9 @@ class FieldTower:
         return out
 
     def _reduce(self, s: int) -> int:
-        """Encoding of a sum of up to m + 1 slot products (a spread addend counts
-        as one, a product with a raw Frobenius sum as m): slot r >= e of each y-digit
-        folds by x^r mod g, then each slot of y^i (i >= m) by its row, and digit r
-        of y-digit i is slot i (2e - 1) + r mod p."""
+        """Encoding of a sum of up to m + 1 slot products (a spread addend is one):
+        slot r >= e of each y-digit folds by x^r mod g, each slot of y^i (i >= m)
+        by its row, and digit r of y-digit i is slot i (2e - 1) + r mod p."""
         for shift, firsts, row in self._x_folds:
             s += (s >> shift & firsts) * row
         acc, mask, p = s & self._low_mask, self._slot_mask, self.p
@@ -744,14 +726,10 @@ class FieldTower:
     def _row_update(self, prow):
         """The update (c, xs) -> xs - c prow of `_eliminate` for odd p past the
         tables (else None): -prow is spread once, an entry is one `_reduce`."""
-        if not self._slot_sums:
-            return None
-        ys = [self._spread(self.neg(y)) for y in prow]
-
-        def update(c, xs):
-            cs = self._spread(c)
-            return [self._reduce(self._spread(x) + cs * y) for x, y in zip(xs, ys)]
-        return update
+        if self._slot_sums:
+            ys = [self._spread(self.neg(y)) for y in prow]
+            return lambda c, xs: [self._reduce(self._spread(x) + cs * y)
+                                  for cs in [self._spread(c)] for x, y in zip(xs, ys)]
 
     def _build_scalar_tables(self):
         n = self.order
@@ -1144,9 +1122,9 @@ def _eliminate(rows, ncols, inv, mul, sub, update=None):
     `rows` holds lists over the field whose `inv`, `mul` and `sub` are given.
     Each pivot row is scaled to a leading 1 and cleared from the rows below
     it, which leaves a row-echelon form.  Returns the pivots as found, before
-    scaling (their count is the rank), and the number of row swaps.  A row
-    below pivot row y takes x - c y by the map that `update(y)` returns, if
-    any (`FieldTower._row_update`), else by `mul` and `sub`.
+    scaling (their count is the rank), and the number of row swaps.  Rows
+    below pivot row y take x - c y by the map `update(y)` if it returns one
+    (`FieldTower._row_update`), else by `mul` and `sub`.
 
     It serves the F_{q^m} matrices (`mat_rank`, `mat_det`, `mat_inv`), the
     key equation of `lrs.decode` and, for odd p, the short digit lists of

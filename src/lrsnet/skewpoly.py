@@ -211,11 +211,7 @@ def evaluate(f: SkewPoly, alpha: int):
 
 
 def _evaluate_coeffs(t: FieldTower, coeffs, alpha: int):
-    """sum_i c_i N_i(alpha).  For odd p past the log tables the products are
-    summed in slot form and reduced once (`FieldTower._slot_dot`)."""
-    if t._slot_sums:
-        norms = _norm_slots(t, alpha, len(coeffs), {})
-        return t._slot_dot((t._spread(c), n) for c, n in zip(coeffs, norms) if c)
+    """sum_i c_i N_i(alpha) by `mul` and `add` (`_newton_step` has a slot route)."""
     acc = 0
     norm = 1
     sig = alpha  # sigma^i(alpha) while processing coefficient i+1
@@ -333,13 +329,10 @@ def _newton_step(t: FieldTower, g, alpha: int, norms: dict):
         return g
     c0 = t.neg(t.mul(t.frobenius(v), alpha))
     if not t._slot_sums:
-        h = [t.mul(c0, g[0])]
-        for lo, hi in zip(g, g[1:]):
-            h.append(t.add(t.mul(c0, hi), t.mul(v, t.frobenius(lo))))
-        h.append(t.mul(v, t.frobenius(g[-1])))
-        return tuple(h)
+        return tuple(t.add(t.mul(c0, hi), t.mul(v, t.frobenius(lo)))
+                     for hi, lo in zip(g + (0,), (0,) + g))
     c0, v = t._spread(c0), t._spread(v)
-    sg = [t._frobenius_slots(c, 1) for c in g]
+    sg = [t._frobenius_sum(c, 1) for c in g]
     return tuple(t._reduce(c0 * hi + v * lo) for hi, lo in zip(gs + [0], [0] + sg))
 
 

@@ -536,6 +536,22 @@ def test_inv_past_the_tables_matches_power(pem, data):
         assert tower.inv(a) == tower.pow(a, tower.order - 2)
 
 
+# A degree-1 top field past the tables is F_q itself: `inv` is one `base_inv`,
+# checked against Fermat in Python's modular `pow`, and never the power chain.
+@pytest.mark.parametrize("p", [65537, 2**61 - 1], ids=str)
+def test_inv_of_a_prime_field_past_the_tables_is_one_base_inverse(p):
+    tower = make_field(p, 1, 1)
+    assert tower._exp is None
+
+    def no_power(*args):
+        raise AssertionError("inv ran FieldTower.pow")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldTower, "pow", no_power)
+        for a in (1, 2, 3, p - 2, p - 1, 12345):
+            assert tower.inv(a) == pow(a, p - 2, p)
+
+
 @pytest.mark.parametrize("pem", [(3, 1, 2), (5, 1, 10), (3, 2, 6)], ids=str)
 def test_negative_power_of_zero_raises(pem):
     tower = make_field(*pem)

@@ -504,11 +504,11 @@ def test_shared_prefix_batch_matches_lclm(tower, data):
 
 
 # ----------------------------------------------------------------------
-# Minimal polynomials and evaluation past the log tables: odd p in slot form
-# (F_{5^25}, F_{9^10}), p = 2 (F_{2^40}) and m = 1 (F_65537, whose Frobenius
-# is the identity), against a per-set Newton on the scalar ops and against
-# remainders of right division.  A set of m + 3 points crosses a chunk
-# boundary of the slot sums.
+# Minimal polynomials and evaluation past the log tables: odd p, where Newton
+# steps run in slot form (F_{5^25}, F_{9^10}), p = 2 (F_{2^40}) and m = 1
+# (F_65537, whose Frobenius is the identity), against a per-set Newton on the
+# scalar ops and against remainders of right division.  A set of m + 3 points
+# crosses a chunk boundary of the slot sums.
 
 SLOT_TOWERS = [make_field(5, 1, 25), make_field(3, 2, 10), make_field(2, 1, 40),
                make_field(65537, 1, 1)]
